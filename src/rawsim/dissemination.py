@@ -11,7 +11,6 @@ the message when ttl hits zero becomes the storage mote and records a
 import math
 from dataclasses import dataclass, field
 
-from .dutycycle import NodeState
 from .errors import InvalidConfigError
 
 
@@ -94,12 +93,12 @@ class NeighborTable:
 
     owner: int
     known: list = field(default_factory=list)   # discovery order, for uniform picks
-    last_heard: dict = field(default_factory=dict)
+    members: set = field(default_factory=set)
 
-    def hear(self, sender, now):
-        if sender not in self.last_heard:
+    def hear(self, sender):
+        if sender not in self.members:
+            self.members.add(sender)
             self.known.append(sender)
-        self.last_heard[sender] = now
 
 
 @dataclass
@@ -111,57 +110,40 @@ class RWMessage:
     current: int
 
 
-def launch_rw(origin, now, hop_budget, data_value, state):
-    """Start a walk at an active node; returns None if the origin is not
-    awake (the launch is skipped, not an error)."""
-    if state is not NodeState.ACTIVE:
-        return None
-    return RWMessage(
-        origin=origin,
-        ttl=hop_budget,
-        launch_time=now,
-        data_value=data_value,
-        current=origin,
-    )
-
-
-def pick_next(node, known, state_of, pick):
+def pick_next(node, known, awake, t, pick):
     """Alg. PickNextNode: a uniformly chosen discovered neighbor if it is
-    awake, otherwise the node itself (stall).
+    awake at time t, otherwise the node itself (stall).
 
     known is the node's discovered-neighbor list (NeighborTable.known);
-    state_of maps a node id to its NodeState; pick is a uniform [0, 1) draw.
+    awake is the awake(node, t) -> bool predicate of
+    dutycycle.awake_predicate; pick is a uniform [0, 1) draw.
     """
     if not known:
         return node
     candidate = known[int(pick * len(known))]
-    if state_of(candidate) is NodeState.ACTIVE:
+    if awake(candidate, t):
         return candidate
     return node
 
 
-def hop(msg, known, state_of, pick):
-    """One ttl-consuming step of the walk held at msg.current.
+def hop(msg, known, awake, t, pick):
+    """One ttl-consuming step at time t of the walk held at msg.current.
 
     Returns True when the walk terminated (msg.current is the storage mote).
     """
     msg.ttl -= 1
-    nxt = pick_next(msg.current, known, state_of, pick)
-    msg.current = nxt
+    msg.current = pick_next(msg.current, known, awake, t, pick)
     return msg.ttl <= 0
 
 
-def hello_tick(node, now, neighbors, state_of, tables):
+def hello_tick(node, now, neighbors, awake, tables):
     """One hello broadcast: an awake node is recorded by every awake
-    topological neighbor. Returns the tables that changed."""
-    if state_of(node) is not NodeState.ACTIVE:
-        return []
-    updated = []
+    topological neighbor."""
+    if not awake(node, now):
+        return
     for u in neighbors:
-        if state_of(u) is NodeState.ACTIVE:
-            tables[u].hear(node, now)
-            updated.append(tables[u])
-    return updated
+        if awake(u, now):
+            tables[u].hear(node)
 
 
 def resolve_rw_length(spec, n):

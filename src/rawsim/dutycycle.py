@@ -5,7 +5,6 @@ t_active seconds, asleep for t_sleep seconds, period U = t_active + t_sleep.
 The sleep fraction is delta = t_sleep / U.
 """
 
-import enum
 import math
 from dataclasses import dataclass
 
@@ -13,12 +12,6 @@ import numpy as np
 
 from . import kernels
 from .errors import InvalidConfigError
-
-
-class NodeState(enum.Enum):
-    TIMEOUT = "timeout"
-    ACTIVE = "active"
-    SLEEP = "sleep"
 
 
 @dataclass(frozen=True)
@@ -50,12 +43,6 @@ class DutyCycleConfig:
         return delta(self.t_active, self.t_sleep)
 
 
-@dataclass(frozen=True)
-class NodeSchedule:
-    node: int
-    phase: float  # initial timeout before the first active period
-
-
 def delta(t_active, t_sleep):
     """Sleep fraction t_sleep / (t_active + t_sleep)."""
     if t_active <= 0:
@@ -80,17 +67,25 @@ def draw_phases(n, config, rng):
     return rng.uniform(config.timeout_min, config.timeout_max, size=n)
 
 
-def state_at(schedule, config, t):
-    """Pure function: the node's state at simulation time t >= 0."""
-    if t < schedule.phase:
-        return NodeState.TIMEOUT
-    if (t - schedule.phase) % config.period < config.t_active:
-        return NodeState.ACTIVE
-    return NodeState.SLEEP
+def awake_predicate(phases, config):
+    """The awake rule as awake(node, t) -> bool, a pure function of time.
+
+    A node is awake once its phase has passed and t falls in the active
+    part of its period; before its phase (the initial timeout) it is not.
+    active_counts is the same rule vectorized over nodes and times.
+    """
+    period = config.period
+    t_active = config.t_active
+
+    def awake(node, t):
+        dt = t - phases[node]
+        return dt >= 0.0 and dt % period < t_active
+
+    return awake
 
 
 def active_counts(phases, config, times):
-    """ACTIVE-node count at each sample time (vectorized over nodes)."""
+    """Awake-node count at each sample time (vectorized over nodes)."""
     phases = np.ascontiguousarray(phases, dtype=np.float64)
     times = np.ascontiguousarray(times, dtype=np.float64)
     return kernels.active_counts(phases, config.period, config.t_active, times)

@@ -281,29 +281,16 @@ def run(config, topology=None):
         raise SetupError("topology is disconnected but require_connected is set")
 
     phases = dutycycle.draw_phases(n, duty, rng_stream(config.seed, "phases"))
-    period = duty.period
-    t_active = duty.t_active
+    awake = dutycycle.awake_predicate(phases, duty)
     horizon = config.horizon_s
 
     adjacency = topology.neighbors
     policy = config.resolved_view_policy()
     views = [View(i, policy) for i in range(n)]
     tables = [dissemination.NeighborTable(i) for i in range(n)]
-    known = [t.known for t in tables]      # aliases, mutated in the hot loop
-    heard = [t.last_heard for t in tables]
+    known = [t.known for t in tables]      # aliases, grown by hello_tick
     readings = [0] * n                 # monotone per-node sequence numbers
     size_log = []                      # (time, node, view size) deltas
-
-    def is_active(node, t):
-        dt = t - phases[node]
-        return dt >= 0.0 and dt % period < t_active
-
-    def state_of_at(t):
-        return lambda node: (
-            dutycycle.NodeState.ACTIVE
-            if is_active(node, t)
-            else dutycycle.NodeState.SLEEP
-        )
 
     heap = []
     seq = 0
@@ -345,7 +332,6 @@ def run(config, topology=None):
     launches = 0
     depositions = 0
     launch_skips = 0
-    in_flight = 0
     event_counts = {"hello": 0, "launch": 0, "hop": 0, "visit": 0}
 
     def deposit(storage, origin, value, t):
@@ -362,30 +348,17 @@ def run(config, topology=None):
         if kind == EV_HOP:
             event_counts["hop"] += 1
             msg = payload
-            done = dissemination.hop(
-                msg, known[msg.current], state_of_at(t), walk_draws.next()
-            )
-            if done:
-                in_flight -= 1
+            if dissemination.hop(msg, known[msg.current], awake, t, walk_draws.next()):
                 deposit(msg.current, msg.origin, msg.data_value, t)
             else:
                 nxt = t + hop_latency
-                if nxt <= horizon:
+                if nxt <= horizon:  # otherwise dropped at horizon, counted below
                     push(heap, (nxt, seq, EV_HOP, msg))
                     seq += 1
-                else:
-                    in_flight -= 1  # dropped at horizon, counted below
         elif kind == EV_HELLO:
             event_counts["hello"] += 1
             node = payload
-            if is_active(node, t):
-                for u in adjacency[node]:
-                    du = t - phases[u]
-                    if du >= 0.0 and du % period < t_active:
-                        h = heard[u]
-                        if node not in h:
-                            known[u].append(node)
-                        h[node] = t
+            dissemination.hello_tick(node, t, adjacency[node], awake, tables)
             nxt = t + hello_interval
             if nxt <= horizon:
                 push(heap, (nxt, seq, EV_HELLO, node))
@@ -393,7 +366,7 @@ def run(config, topology=None):
         elif kind == EV_LAUNCH:
             event_counts["launch"] += 1
             node = payload
-            if is_active(node, t):
+            if awake(node, t):
                 readings[node] += 1
                 launches += 1
                 if rw_length == 0:
@@ -402,7 +375,6 @@ def run(config, topology=None):
                     msg = RWMessage(node, rw_length, t, readings[node], node)
                     nxt = t + hop_latency
                     if nxt <= horizon:
-                        in_flight += 1
                         push(heap, (nxt, seq, EV_HOP, msg))
                         seq += 1
             else:
@@ -414,7 +386,7 @@ def run(config, topology=None):
         else:  # EV_VISIT
             event_counts["visit"] += 1
             node = plan.nodes[payload]
-            if config.sink_wake_sleeping or is_active(node, t):
+            if config.sink_wake_sleeping or awake(node, t):
                 view = views[node]
                 view.maintain(t)
                 size_log.append((t, node, len(view)))

@@ -1,30 +1,16 @@
-"""Numeric kernels with a numba fast path and a pure-numpy fallback.
+"""Numpy kernels for the array-heavy steps: disk-graph adjacency and the
+awake-node count over the sample grid.
 
-The backend is chosen once at import time from the RAWSIM_BACKEND
-environment variable: "numba" (default, falls back to numpy if numba is
-unavailable) or "numpy". Both paths produce identical results; see
-benchmarks/bench_kernels.py for a speed comparison.
+The event loop itself is plain Python; these are the only vectorized
+parts of a run.
 """
-
-import os
 
 import numpy as np
 
-_requested = os.environ.get("RAWSIM_BACKEND", "numba").strip().lower()
-if _requested not in ("numba", "numpy"):
-    raise ValueError(f"RAWSIM_BACKEND must be 'numba' or 'numpy', got {_requested!r}")
-
-if _requested == "numba":
-    try:
-        from numba import njit
-        BACKEND = "numba"
-    except ImportError:
-        BACKEND = "numpy"
-else:
-    BACKEND = "numpy"
+BACKEND = "numpy"
 
 
-def _adjacency_numpy(xs, ys, radio_range):
+def adjacency_csr(xs, ys, radio_range):
     """Closed-disk adjacency as CSR (indptr, indices), neighbors sorted."""
     n = xs.shape[0]
     dx = xs[:, None] - xs[None, :]
@@ -37,70 +23,16 @@ def _adjacency_numpy(xs, ys, radio_range):
     return indptr, cols.astype(np.int64)
 
 
-def _active_counts_numpy(phases, period, t_active, times):
-    """Number of nodes ACTIVE at each sample time (TIMEOUT counts as inactive)."""
+def active_counts(phases, period, t_active, times):
+    """Number of nodes awake at each sample time; the vector form of
+    dutycycle.awake_predicate (a node before its phase is not awake)."""
     dt = times[:, None] - phases[None, :]
     active = (dt >= 0.0) & (np.mod(dt, period) < t_active)
     return active.sum(axis=1).astype(np.int64)
 
 
-if BACKEND == "numba":
-
-    @njit(cache=True)
-    def _adjacency_numba(xs, ys, radio_range):
-        n = xs.shape[0]
-        r2 = radio_range * radio_range
-        counts = np.zeros(n, dtype=np.int64)
-        for i in range(n):
-            for j in range(n):
-                if i != j:
-                    dx = xs[i] - xs[j]
-                    dy = ys[i] - ys[j]
-                    if dx * dx + dy * dy <= r2:
-                        counts[i] += 1
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        for i in range(n):
-            indptr[i + 1] = indptr[i] + counts[i]
-        indices = np.empty(indptr[n], dtype=np.int64)
-        fill = indptr[:-1].copy()
-        for i in range(n):
-            for j in range(n):
-                if i != j:
-                    dx = xs[i] - xs[j]
-                    dy = ys[i] - ys[j]
-                    if dx * dx + dy * dy <= r2:
-                        indices[fill[i]] = j
-                        fill[i] += 1
-        return indptr, indices
-
-    @njit(cache=True)
-    def _active_counts_numba(phases, period, t_active, times):
-        m = times.shape[0]
-        n = phases.shape[0]
-        out = np.zeros(m, dtype=np.int64)
-        for k in range(m):
-            t = times[k]
-            c = 0
-            for i in range(n):
-                dt = t - phases[i]
-                if dt >= 0.0 and dt % period < t_active:
-                    c += 1
-            out[k] = c
-        return out
-
-    adjacency_csr = _adjacency_numba
-    active_counts = _active_counts_numba
-else:
-    adjacency_csr = _adjacency_numpy
-    active_counts = _active_counts_numpy
-
-# Reference implementations stay importable for cross-checking backends.
-adjacency_csr_numpy = _adjacency_numpy
-active_counts_numpy = _active_counts_numpy
-
-
 def warmup():
-    """Trigger jit compilation so timed sections measure steady state."""
+    """Run each kernel once on a tiny input, so that timed sections start warm."""
     xs = np.array([0.0, 1.0, 5.0])
     ys = np.zeros(3)
     adjacency_csr(xs, ys, 2.0)

@@ -10,7 +10,6 @@ from scipy import stats
 
 from rawsim.cli import cli
 from rawsim.dissemination import RWMessage, hop, mean_ideal_intersection
-from rawsim.dutycycle import NodeState
 from rawsim.engine import SimConfig, replicate, rng_stream, run
 from rawsim.experiments import (
     DELTA_GRID,
@@ -101,7 +100,7 @@ def test_criterion_5_walk_terminal_uniform_on_k10():
     for w in range(walks):
         start = w % n
         msg = RWMessage(start, length, 0.0, 1, start)
-        while not hop(msg, known[msg.current], lambda _v: NodeState.ACTIVE,
+        while not hop(msg, known[msg.current], lambda _v, _t: True, 0.0,
                       rng.random()):
             pass
         counts[msg.current] += 1

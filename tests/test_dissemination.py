@@ -14,23 +14,22 @@ from rawsim.dissemination import (
     expected_intersection,
     hello_tick,
     hop,
-    launch_rw,
     mean_ideal_intersection,
     parse_view_policy,
     pick_next,
     resolve_rw_length,
 )
-from rawsim.dutycycle import NodeState
+from rawsim.dutycycle import DutyCycleConfig, awake_predicate
 from rawsim.engine import rng_stream
 from rawsim.errors import InvalidConfigError
 
 
-def always_active(_node):
-    return NodeState.ACTIVE
+def always_active(_node, _t):
+    return True
 
 
-def always_sleep(_node):
-    return NodeState.SLEEP
+def always_sleep(_node, _t):
+    return False
 
 
 def test_parse_view_policy():
@@ -58,32 +57,29 @@ def test_resolve_rw_length():
         resolve_rw_length(-1, 100)
 
 
-def test_launch_rw():
-    msg = launch_rw(7, 10.0, 50, data_value=3, state=NodeState.ACTIVE)
-    assert msg == RWMessage(origin=7, ttl=50, launch_time=10.0, data_value=3, current=7)
-    assert launch_rw(7, 10.0, 50, 3, NodeState.SLEEP) is None
-    assert launch_rw(7, 10.0, 50, 3, NodeState.TIMEOUT) is None
-
-
 def test_pick_next_empty_table_returns_self():
-    assert pick_next(4, [], always_active, 0.3) == 4
+    assert pick_next(4, [], always_active, 0.0, 0.3) == 4
 
 
 def test_pick_next_single_active_neighbor():
-    assert pick_next(4, [3], always_active, 0.99) == 3
+    assert pick_next(4, [3], always_active, 0.0, 0.99) == 3
 
 
 def test_pick_next_sleeping_neighbor_stalls():
-    assert pick_next(4, [3], always_sleep, 0.0) == 4
+    assert pick_next(4, [3], always_sleep, 0.0, 0.0) == 4
 
 
 def test_pick_next_timeout_neighbor_stalls():
-    assert pick_next(4, [3], lambda _n: NodeState.TIMEOUT, 0.0) == 4
+    # node 3 is still in its initial timeout at t = 40.5, although
+    # (40.5 - 50) % 10 = 0.5 falls in an active window
+    cfg = DutyCycleConfig(t_active=1.0, t_sleep=9.0, timeout_max=60.0)
+    awake = awake_predicate([0.0, 0.0, 0.0, 50.0, 0.0], cfg)
+    assert pick_next(4, [3], awake, 40.5, 0.0) == 4
 
 
 def test_hop_single_step_terminates_at_neighbor():
     msg = RWMessage(origin=0, ttl=1, launch_time=0.0, data_value=1, current=0)
-    done = hop(msg, [5], always_active, 0.0)
+    done = hop(msg, [5], always_active, 0.0, 0.0)
     assert done
     assert msg.current == 5
     assert msg.ttl == 0
@@ -93,7 +89,7 @@ def test_hop_all_sleep_terminates_at_origin():
     # 3-node oracle: every pick stalls, ttl still drains one per step
     msg = RWMessage(origin=0, ttl=5, launch_time=0.0, data_value=1, current=0)
     steps = 0
-    while not hop(msg, [1, 2], always_sleep, 0.5):
+    while not hop(msg, [1, 2], always_sleep, 0.0, 0.5):
         steps += 1
     assert steps == 4
     assert msg.current == 0
@@ -105,7 +101,7 @@ def test_hop_ttl_strictly_decreasing():
     seen = []
     done = False
     while not done:
-        done = hop(msg, [1, 2, 3], always_active, 0.1)
+        done = hop(msg, [1, 2, 3], always_active, 0.0, 0.1)
         seen.append(msg.ttl)
     assert seen == list(range(9, -1, -1))
 
@@ -117,7 +113,7 @@ def test_hop_moves_only_to_listed_neighbors():
     done = False
     while not done:
         before = msg.current
-        done = hop(msg, known[msg.current], always_active, rng.random())
+        done = hop(msg, known[msg.current], always_active, 0.0, rng.random())
         assert msg.current == before or msg.current in known[before]
 
 
@@ -132,7 +128,7 @@ def test_terminal_uniform_on_complete_graph():
     for w in range(walks):
         start = w % n
         msg = RWMessage(origin=start, ttl=length, launch_time=0.0, data_value=1, current=start)
-        while not hop(msg, known[msg.current], always_active, rng.random()):
+        while not hop(msg, known[msg.current], always_active, 0.0, rng.random()):
             pass
         counts[msg.current] += 1
     result = stats.chisquare(counts)
@@ -186,32 +182,33 @@ def test_timeout_based_boundary_is_closed():
 
 def test_hello_tick_updates_awake_neighbors():
     tables = {i: NeighborTable(i) for i in range(3)}
-    updated = hello_tick(0, 5.0, [1, 2], always_active, tables)
-    assert {t.owner for t in updated} == {1, 2}
+    hello_tick(0, 5.0, [1, 2], always_active, tables)
     assert tables[1].known == [0]
-    assert tables[1].last_heard[0] == 5.0
+    assert tables[2].known == [0]
+    assert tables[1].members == {0}
     assert tables[0].known == []
 
 
 def test_hello_tick_sleeping_receiver_unchanged():
     tables = {i: NeighborTable(i) for i in range(2)}
-    state = {0: NodeState.ACTIVE, 1: NodeState.SLEEP}.__getitem__
-    assert hello_tick(0, 1.0, [1], state, tables) == []
+    hello_tick(0, 1.0, [1], lambda node, _t: node == 0, tables)
     assert tables[1].known == []
+    assert tables[1].members == set()
 
 
 def test_hello_tick_sleeping_sender_sends_nothing():
     tables = {i: NeighborTable(i) for i in range(2)}
-    assert hello_tick(0, 1.0, [1], always_sleep, tables) == []
+    hello_tick(0, 1.0, [1], always_sleep, tables)
     assert tables[1].known == []
+    assert tables[1].members == set()
 
 
 def test_neighbor_table_no_duplicate_known_entries():
     table = NeighborTable(0)
-    table.hear(3, 1.0)
-    table.hear(3, 2.0)
+    table.hear(3)
+    table.hear(3)
     assert table.known == [3]
-    assert table.last_heard[3] == 2.0
+    assert table.members == {3}
 
 
 def test_ideal_view_intersection_matches_formula():

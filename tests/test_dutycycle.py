@@ -7,15 +7,13 @@ from hypothesis import strategies as st
 
 from rawsim.dutycycle import (
     DutyCycleConfig,
-    NodeSchedule,
-    NodeState,
     active_counts,
+    awake_predicate,
     config_for_delta,
     delta,
     delta_for_target,
     draw_phases,
     expected_active,
-    state_at,
 )
 from rawsim.engine import rng_stream
 from rawsim.errors import InvalidConfigError
@@ -53,13 +51,15 @@ def test_config_for_delta_rejects_full_sleep():
     assert cfg.t_sleep == pytest.approx(9.0)
 
 
-def test_state_at_examples():
-    cfg = DutyCycleConfig(t_active=1.0, t_sleep=9.0)
-    assert state_at(NodeSchedule(0, 3.0), cfg, 2.0) is NodeState.TIMEOUT
-    sched = NodeSchedule(0, 0.0)
-    assert state_at(sched, cfg, 0.5) is NodeState.ACTIVE
-    assert state_at(sched, cfg, 5.0) is NodeState.SLEEP
-    assert state_at(sched, cfg, 10.5) is NodeState.ACTIVE  # period U = 10
+def test_awake_predicate_examples():
+    cfg = DutyCycleConfig(t_active=1.0, t_sleep=9.0, timeout_max=20.0)
+    awake = awake_predicate(np.array([0.0, 3.0, 12.0]), cfg)
+    assert not awake(1, 2.0)   # before its phase, a node is not awake
+    # nor when the window arithmetic alone would say so: (2.5 - 12) % 10 = 0.5
+    assert not awake(2, 2.5)
+    assert awake(0, 0.5)
+    assert not awake(0, 5.0)
+    assert awake(0, 10.5)      # period U = 10
 
 
 @settings(max_examples=200, deadline=None)
@@ -69,29 +69,32 @@ def test_state_at_examples():
     st.floats(0, 20),
     st.floats(0, 100),
 )
-def test_state_at_is_pure_and_periodic(t_active, t_sleep, phase, t):
+def test_awake_predicate_is_pure_and_periodic(t_active, t_sleep, phase, t):
     cfg = DutyCycleConfig(t_active=t_active, t_sleep=t_sleep, timeout_max=20.0)
-    sched = NodeSchedule(0, phase)
-    state = state_at(sched, cfg, t)
-    assert state_at(sched, cfg, t) is state
-    if t >= phase:
-        assert state is not NodeState.TIMEOUT
+    awake = awake_predicate(np.array([phase]), cfg)
+    state = awake(0, t)
+    assert awake(0, t) == state
+    if t < phase:
+        assert not state
+    else:
         # periodicity, checked away from window boundaries where float
         # rounding of the modulo can flip the state
         offset = (t - phase) % cfg.period
         eps = 1e-9 * max(1.0, t + cfg.period)
         boundaries = (0.0, cfg.t_active, cfg.period)
         if all(abs(offset - b) > eps for b in boundaries):
-            assert state_at(sched, cfg, t + cfg.period) is state
+            assert state == (offset < cfg.t_active)
+            assert awake(0, t + cfg.period) == state
 
 
 def test_long_run_active_fraction_exact_over_whole_periods():
     cfg = DutyCycleConfig(t_active=1.0, t_sleep=9.0)
-    sched = NodeSchedule(0, 4.0)
+    phase = 4.0
+    awake = awake_predicate(np.array([phase]), cfg)
     # integrate on a fine grid over 20 whole periods past the phase
     dt = 0.001
-    ts = np.arange(sched.phase, sched.phase + 20 * cfg.period, dt)
-    frac = np.mean([state_at(sched, cfg, t) is NodeState.ACTIVE for t in ts])
+    ts = np.arange(phase, phase + 20 * cfg.period, dt)
+    frac = np.mean([awake(0, t) for t in ts])
     assert frac == pytest.approx(cfg.t_active / cfg.period, abs=0.001)
 
 
@@ -124,14 +127,12 @@ def test_population_matches_expectation_over_replications():
     assert abs(np.mean(averages) - expected_active(n, frac)) <= 3 * sigma
 
 
-def test_active_counts_matches_state_at():
+def test_active_counts_matches_awake_predicate():
     cfg = DutyCycleConfig(t_active=2.0, t_sleep=3.0, timeout_max=5.0)
     phases = draw_phases(8, cfg, rng_stream(9, "phases"))
+    awake = awake_predicate(phases, cfg)
     times = np.linspace(0.0, 30.0, 61)
     counts = active_counts(phases, cfg, times)
     for t, count in zip(times, counts):
-        manual = sum(
-            state_at(NodeSchedule(i, p), cfg, t) is NodeState.ACTIVE
-            for i, p in enumerate(phases)
-        )
+        manual = sum(awake(i, t) for i in range(len(phases)))
         assert manual == count

@@ -93,6 +93,31 @@ def test_sleeping_origin_skips_launch():
     assert trace.event_counts["launch"] == trace.launches + trace.launch_skips
 
 
+def test_run_goes_through_the_protocol_functions(monkeypatch):
+    # the engine must call the tested rules, not copies of them
+    from rawsim import dissemination
+
+    calls = {"hop": 0, "pick_next": 0, "hello_tick": 0, "hear": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("hop", "pick_next", "hello_tick"):
+        monkeypatch.setattr(dissemination, name, counted(name, getattr(dissemination, name)))
+    monkeypatch.setattr(
+        dissemination.NeighborTable, "hear",
+        counted("hear", dissemination.NeighborTable.hear),
+    )
+    trace = run(quick_config())
+    assert calls["hop"] == trace.event_counts["hop"] > 0
+    assert calls["pick_next"] == calls["hop"]
+    assert calls["hello_tick"] == trace.event_counts["hello"] > 0
+    assert calls["hear"] > 0
+
+
 def test_strict_sink_skips_sleeping_nodes():
     cfg = quick_config(sink_wake_sleeping=False, sink_visits=15)
     trace = run(cfg)

@@ -1,30 +1,6 @@
 import numpy as np
 
 from rawsim import kernels
-from rawsim.engine import rng_stream
-
-
-def test_backend_is_valid():
-    assert kernels.BACKEND in ("numba", "numpy")
-
-
-def test_adjacency_backends_agree():
-    rng = rng_stream(4, "placement")
-    xs = rng.uniform(0, 300, 80)
-    ys = rng.uniform(0, 300, 80)
-    indptr_a, indices_a = kernels.adjacency_csr(xs, ys, 60.0)
-    indptr_b, indices_b = kernels.adjacency_csr_numpy(xs, ys, 60.0)
-    assert (np.asarray(indptr_a) == np.asarray(indptr_b)).all()
-    assert (np.asarray(indices_a) == np.asarray(indices_b)).all()
-
-
-def test_active_counts_backends_agree():
-    rng = rng_stream(5, "phases")
-    phases = rng.uniform(0, 10, 200)
-    times = np.arange(0.0, 101.0)
-    a = kernels.active_counts(phases, 10.0, 1.0, times)
-    b = kernels.active_counts_numpy(phases, 10.0, 1.0, times)
-    assert (np.asarray(a) == np.asarray(b)).all()
 
 
 def test_active_counts_handles_always_on():
