@@ -17,7 +17,7 @@ from . import topology
 from .configfile import load_config
 from .engine import SimConfig, fmt, rng_stream, run
 from .errors import InvalidConfigError, PlacementParseError, SetupError
-from .experiments import ExperimentSpec, all_figures, run_sweep
+from .experiments import all_figures, run_sweep
 
 
 def build_parser():
@@ -119,11 +119,8 @@ def cmd_run(args):
 def cmd_sweep(args):
     config = _load_base_config(args)
     values = tuple(v.strip() for v in args.values.split(",") if v.strip())
-    if not values:
-        raise InvalidConfigError("--values is empty")
     name = args.name or f"sweep_{args.param.replace('/', '_')}"
-    spec = ExperimentSpec(name=name, base=config, param=args.param, values=values)
-    dataset = run_sweep(spec, runs=args.runs)
+    dataset = run_sweep(name, config, args.param, values, runs=args.runs)
     out = pathlib.Path(args.out)
     if out.is_dir():
         out = out / f"{name}.csv"

@@ -40,14 +40,3 @@ def load_config(path, overrides=None):
         values.update(overrides)
     return SimConfig.from_mapping(values)
 
-
-def config_text(config):
-    """Inverse of parse_config_text for SimConfig round-trips."""
-    lines = []
-    for key, value in config.to_dict().items():
-        if value is None:
-            value = "none"
-        elif isinstance(value, bool):
-            value = str(value).lower()
-        lines.append(f"{key} = {value}")
-    return "\n".join(lines) + "\n"

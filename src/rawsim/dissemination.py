@@ -37,15 +37,17 @@ def parse_view_policy(text, n=None):
     kind, _, value = text.partition(":")
     kind = kind.strip().lower()
     value = value.strip()
-    if kind == "size":
-        if value == "sqrt":
-            if n is None:
-                raise InvalidConfigError("size:sqrt needs the node count")
-            return SizeBased(math.ceil(math.sqrt(n)))
-        return SizeBased(int(value))
-    if kind == "timeout":
-        return TimeoutBased(float(value))
-    raise InvalidConfigError(f"unknown view policy {text!r}")
+    if kind not in ("size", "timeout"):
+        raise InvalidConfigError(f"unknown view policy {text!r}")
+    if kind == "size" and value == "sqrt":
+        if n is None:
+            raise InvalidConfigError("size:sqrt needs the node count")
+        return SizeBased(math.ceil(math.sqrt(n)))
+    try:
+        bound = int(value) if kind == "size" else float(value)
+    except ValueError:
+        raise InvalidConfigError(f"bad number in view policy {text!r}") from None
+    return SizeBased(bound) if kind == "size" else TimeoutBased(bound)
 
 
 @dataclass

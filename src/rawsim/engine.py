@@ -66,6 +66,12 @@ class SimConfig:
     require_connected: bool = False
 
     def __post_init__(self):
+        if self.n < 1:
+            raise InvalidConfigError(f"n must be >= 1, got {self.n}")
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise InvalidConfigError(f"{f.name} must be finite, got {value}")
         if self.horizon_s < 0:
             raise InvalidConfigError(f"horizon must be >= 0, got {self.horizon_s}")
         if self.replications < 1:
@@ -113,42 +119,30 @@ class SimConfig:
     def to_dict(self):
         return dataclasses.asdict(self)
 
-    _BOOL_KEYS = frozenset(
-        {
-            "dissemination_enabled",
-            "sink_enabled",
-            "sink_wake_sleeping",
-            "fixed_topology",
-            "require_connected",
-        }
-    )
-    _INT_KEYS = frozenset({"n", "seed", "replications", "sink_visits"})
-    _STR_KEYS = frozenset({"rw_length", "view_policy", "placement_file"})
-    _OPTIONAL_KEYS = frozenset(
-        {"timeout_max_s", "advertise_period_s", "sink_visits", "placement_file"}
-    )
-
     @classmethod
     def coerce_value(cls, key, value):
-        names = {f.name for f in dataclasses.fields(cls)}
-        if key not in names:
+        """Parse one text value as the field's annotated type; a field whose
+        default is None also takes "", "none" or "auto" for None."""
+        fields = {f.name: f for f in dataclasses.fields(cls)}
+        if key not in fields:
             raise InvalidConfigError(f"unknown config key {key!r}")
-        if isinstance(value, str):
-            text = value.strip()
-            if key in cls._OPTIONAL_KEYS and text.lower() in ("", "none", "auto"):
-                return None
-            if key in cls._BOOL_KEYS:
-                if text.lower() in ("true", "1", "yes", "on"):
-                    return True
-                if text.lower() in ("false", "0", "no", "off"):
-                    return False
-                raise InvalidConfigError(f"bad boolean for {key}: {value!r}")
-            if key in cls._INT_KEYS:
-                return int(text)
-            if key in cls._STR_KEYS:
-                return text
-            return float(text)
-        return value
+        if not isinstance(value, str):
+            return value
+        text = value.strip()
+        kind = fields[key].type
+        if fields[key].default is None and text.lower() in ("", "none", "auto"):
+            return None
+        if kind is bool:
+            if text.lower() in ("true", "1", "yes", "on"):
+                return True
+            if text.lower() in ("false", "0", "no", "off"):
+                return False
+        else:
+            try:
+                return kind(text)
+            except ValueError:
+                pass
+        raise InvalidConfigError(f"bad {kind.__name__} for {key}: {value!r}")
 
     @classmethod
     def from_mapping(cls, mapping):
@@ -245,9 +239,7 @@ def build_topology(config, placement_seed=None):
     else:
         rng = rng_stream(seed, "placement")
         positions = topo.place_uniform(config.n, config.width, config.height, rng)
-    return topo.build_adjacency(
-        positions, config.radio_range, config.width, config.height
-    )
+    return topo.build_adjacency(positions, config.radio_range)
 
 
 class _FloatStream:

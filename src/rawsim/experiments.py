@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import dutycycle
 from .engine import SimConfig, build_topology, fmt, replicate
 from .errors import InvalidConfigError
 from .sink import predicted_coverage
@@ -24,20 +25,6 @@ DELTA_GRID = tuple(round(0.1 * i, 1) for i in range(10))  # 0.0 .. 0.9
 DENSE_RADIO_RANGE = 260.0
 
 COVERAGE_VARIANTS = ("normal", "small-timeout", "all-active", "dense")
-
-
-@dataclass(frozen=True)
-class ExperimentSpec:
-    name: str
-    base: SimConfig
-    param: str
-    values: tuple
-
-    def __post_init__(self):
-        if not self.values:
-            raise InvalidConfigError("sweep value list is empty")
-        # fails fast on unknown parameter names
-        apply_param(self.base, self.param, self.values[0])
 
 
 @dataclass(frozen=True)
@@ -70,13 +57,12 @@ def _cell(value):
 def apply_param(config, name, value):
     """Set one swept parameter; "delta" adjusts t_active/t_sleep at fixed U."""
     if name == "delta":
-        period = config.duty_config().period
-        frac = float(value)
-        if not 0.0 <= frac < 1.0:
-            raise InvalidConfigError(f"delta must be in [0, 1), got {frac}")
-        return config.with_updates(
-            t_active_s=(1.0 - frac) * period, t_sleep_s=frac * period
-        )
+        try:
+            frac = float(value)
+        except ValueError:
+            raise InvalidConfigError(f"bad float for delta: {value!r}") from None
+        duty = dutycycle.config_for_delta(frac, config.duty_config().period)
+        return config.with_updates(t_active_s=duty.t_active, t_sleep_s=duty.t_sleep)
     coerced = SimConfig.coerce_value(name, value)
     return config.with_updates(**{name: coerced})
 
@@ -113,22 +99,23 @@ def exp_active_vs_delta(n, deltas=DELTA_GRID, runs=15, seed=0):
 
 def exp_delta_for_sqrt_n(ns, deltas=DELTA_GRID, runs=15, seed=0):
     """Largest grid sleep fraction keeping at least sqrt(n) nodes awake."""
-    rows = []
     for n in ns:
         if n < 4:
             raise InvalidConfigError(f"network size must be >= 4, got {n}")
-        dataset = exp_active_vs_delta(n, deltas, runs, seed)
+    return delta_for_sqrt_n([exp_active_vs_delta(n, deltas, runs, seed) for n in ns])
+
+
+def delta_for_sqrt_n(sweeps):
+    """The delta_for_sqrt_n dataset read off exp_active_vs_delta datasets."""
+    rows = []
+    for dataset in sweeps:
+        n = dataset.column("n")[0]
+        runs = dataset.column("runs")[0]
         threshold = math.sqrt(n)
-        best = None
-        best_mean = None
-        for frac, mean, _std, _n, _runs in dataset.rows:
-            if mean >= threshold and (best is None or frac > best):
-                best = frac
-                best_mean = mean
-        if best is None:
-            raise InvalidConfigError(
-                f"no grid point keeps sqrt({n}) nodes active"
-            )
+        passing = [(frac, mean) for frac, mean, *_ in dataset.rows if mean >= threshold]
+        if not passing:
+            raise InvalidConfigError(f"no grid point keeps sqrt({n}) nodes active")
+        best, best_mean = max(passing)
         rows.append((n, best, best_mean, threshold, runs))
     return FigureDataset(
         name="delta_for_sqrt_n",
@@ -203,27 +190,31 @@ def exp_coverage(variant, runs=15, seed=0):
     )
 
 
-def run_sweep(spec, runs=None):
-    """Generic one-parameter sweep aggregating every scalar metric."""
+def run_sweep(name, base, param, values, runs=None):
+    """Generic one-parameter sweep aggregating every scalar metric. Every
+    value is applied before the first run, so a bad one fails fast."""
+    if not values:
+        raise InvalidConfigError("sweep value list is empty")
+    configs = [apply_param(base, param, value) for value in values]
     if runs is None:
-        runs = spec.base.replications
+        runs = base.replications
     rows = []
     names = None
-    for value in spec.values:
-        result = replicate(apply_param(spec.base, spec.param, value), runs)
+    for value, config in zip(values, configs):
+        result = replicate(config, runs, keep_traces=False)
         if names is None:
             names = sorted(result.metrics)
         row = [value]
-        for name in names:
-            mean, std = result.metrics[name]
+        for metric in names:
+            mean, std = result.metrics[metric]
             row.extend((mean, std))
         row.append(runs)
         rows.append(tuple(row))
-    columns = [spec.param]
-    for name in names:
-        columns.extend((f"{name}_mean", f"{name}_stddev"))
+    columns = [param]
+    for metric in names:
+        columns.extend((f"{metric}_mean", f"{metric}_stddev"))
     columns.append("runs")
-    return FigureDataset(name=spec.name, columns=tuple(columns), rows=tuple(rows))
+    return FigureDataset(name=name, columns=tuple(columns), rows=tuple(rows))
 
 
 def all_figures(seed=42, out_dir=".", runs=15):
@@ -239,12 +230,12 @@ def all_figures(seed=42, out_dir=".", runs=15):
         path.write_text(text)
         written.append(path)
 
-    emit("active_vs_delta_n100", exp_active_vs_delta(100, runs=runs, seed=seed).to_csv())
-    emit("active_vs_delta_n400", exp_active_vs_delta(400, runs=runs, seed=seed).to_csv())
-    emit(
-        "delta_for_sqrt_n",
-        exp_delta_for_sqrt_n((25, 100, 200, 300, 400), runs=runs, seed=seed).to_csv(),
-    )
+    # one sweep per size serves both the per-n curves and delta_for_sqrt_n
+    sizes = (25, 100, 200, 300, 400)
+    sweeps = {n: exp_active_vs_delta(n, runs=runs, seed=seed) for n in sizes}
+    emit("active_vs_delta_n100", sweeps[100].to_csv())
+    emit("active_vs_delta_n400", sweeps[400].to_csv())
+    emit("delta_for_sqrt_n", delta_for_sqrt_n(sweeps.values()).to_csv())
     for variant in COVERAGE_VARIANTS:
         dataset = exp_coverage(variant, runs=runs, seed=seed)
         emit(dataset.name, dataset.to_csv())

@@ -30,14 +30,8 @@ class Topology:
     """Immutable after construction; safe to share across replications."""
 
     n: int
-    width: float
-    height: float
-    radio_range: float
     positions: np.ndarray            # shape (n, 2)
     neighbors: tuple = field(repr=False)  # per-node sorted tuples of node ids
-
-    def degree(self, node):
-        return len(self.neighbors[node])
 
 
 def place_uniform(n, width, height, rng):
@@ -51,7 +45,7 @@ def place_uniform(n, width, height, rng):
     return np.column_stack([xs, ys])
 
 
-def build_adjacency(positions, radio_range, width=None, height=None):
+def build_adjacency(positions, radio_range):
     """Build the symmetric closed-disk graph over the given positions."""
     if radio_range <= 0:
         raise InvalidConfigError(f"radio_range must be positive, got {radio_range}")
@@ -63,18 +57,7 @@ def build_adjacency(positions, radio_range, width=None, height=None):
     neighbors = tuple(
         tuple(int(j) for j in indices[indptr[i]:indptr[i + 1]]) for i in range(n)
     )
-    if width is None:
-        width = float(xs.max(initial=0.0))
-    if height is None:
-        height = float(ys.max(initial=0.0))
-    return Topology(
-        n=n,
-        width=float(width),
-        height=float(height),
-        radio_range=float(radio_range),
-        positions=positions,
-        neighbors=neighbors,
-    )
+    return Topology(n=n, positions=positions, neighbors=neighbors)
 
 
 def load_placement(text):

@@ -47,6 +47,20 @@ def test_set_override_and_bad_key(tmp_path):
     assert cli(["run", "--set", "nonsense=1", "--out", str(out)]) == 2
 
 
+def test_malformed_values_exit_2(tmp_path, capsys):
+    out = str(tmp_path / "r")
+    for args in (
+        ["run", "--set", "n=abc"],
+        ["run", "--set", "horizon_s=1e"],
+        ["run", "--set", "view_policy=size:abc"],
+        ["sweep", "--param", "n", "--values", "1.5"],
+        ["run", "--set", "n=-4", "--set", "rw_length=2"],
+    ):
+        assert cli(args + ["--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_unknown_flag_exits_2():
     assert cli(["run", "--frobnicate"]) == 2
 

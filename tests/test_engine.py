@@ -1,3 +1,7 @@
+import dataclasses
+import pathlib
+import re
+
 import numpy as np
 import pytest
 
@@ -208,3 +212,41 @@ def test_config_rejects_unknown_key_and_bad_values():
         SimConfig(t_active_s=0.0)
     with pytest.raises(InvalidConfigError):
         SimConfig(view_policy="size:0")
+    for mapping in (
+        {"n": "abc"},
+        {"n": "1.5"},
+        {"horizon_s": "1e"},
+        {"sink_enabled": "maybe"},
+        {"view_policy": "size:abc"},
+        {"view_policy": "timeout:x"},
+        {"n": "-4", "rw_length": "2"},
+        {"horizon_s": "inf"},
+        {"t_sleep_s": "nan"},
+    ):
+        with pytest.raises(InvalidConfigError):
+            SimConfig.from_mapping(mapping)
+    with pytest.raises(InvalidConfigError, match="n must be >= 1"):
+        SimConfig(n=0)
+
+
+def test_coerce_value_round_trips_every_default():
+    for f in dataclasses.fields(SimConfig):
+        if f.default is None:
+            text = "none"
+        elif isinstance(f.default, bool):
+            text = str(f.default).lower()
+        else:
+            text = str(f.default)
+        assert SimConfig.coerce_value(f.name, text) == f.default
+        # every key parses as its annotated type
+        assert type(SimConfig.coerce_value(f.name, " 1 ")) is f.type
+
+
+def test_readme_config_table_lists_exactly_the_config_fields():
+    readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = readme.split("## Configuration keys", 1)[1].split("\n## ", 1)[0]
+    keys = set()
+    for line in table.splitlines():
+        if line.startswith("| `"):
+            keys.update(re.findall(r"`(\w+)`", line.split("|")[1]))
+    assert keys == {f.name for f in dataclasses.fields(SimConfig)}

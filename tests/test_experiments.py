@@ -6,7 +6,6 @@ from rawsim.engine import SimConfig
 from rawsim.errors import InvalidConfigError
 from rawsim.experiments import (
     DELTA_GRID,
-    ExperimentSpec,
     active_sweep_config,
     apply_param,
     coverage_config,
@@ -27,6 +26,12 @@ def test_apply_param_delta_keeps_period():
     duty = swept.duty_config()
     assert duty.period == pytest.approx(10.0)
     assert duty.delta == pytest.approx(0.3)
+    period = cfg.duty_config().period
+    for frac in DELTA_GRID:
+        swept = apply_param(cfg, "delta", frac)
+        # the same conversion as dutycycle.config_for_delta, to the last bit
+        assert swept.t_sleep_s == frac * period
+        assert swept.t_active_s == period - frac * period
 
 
 def test_apply_param_regular_key():
@@ -36,14 +41,16 @@ def test_apply_param_regular_key():
         apply_param(cfg, "bogus", 1)
     with pytest.raises(InvalidConfigError):
         apply_param(cfg, "delta", 1.0)
+    with pytest.raises(InvalidConfigError):
+        apply_param(cfg, "delta", "abc")
 
 
-def test_experiment_spec_validates_values():
+def test_run_sweep_validates_values():
     base = active_sweep_config(25)
     with pytest.raises(InvalidConfigError):
-        ExperimentSpec("empty", base, "delta", ())
+        run_sweep("empty", base, "delta", ())
     with pytest.raises(InvalidConfigError):
-        ExperimentSpec("bad", base, "no_such_key", (1,))
+        run_sweep("bad", base, "no_such_key", (1,))
 
 
 def test_exp_active_vs_delta_rows_and_expectation():
@@ -98,9 +105,8 @@ def test_exp_coverage_dataset_shape():
 
 def test_run_sweep_deterministic_csv():
     base = active_sweep_config(25, runs=2)
-    spec = ExperimentSpec("demo", base, "delta", (0.0, 0.4))
-    a = run_sweep(spec, runs=2).to_csv()
-    b = run_sweep(spec, runs=2).to_csv()
+    a = run_sweep("demo", base, "delta", (0.0, 0.4), runs=2).to_csv()
+    b = run_sweep("demo", base, "delta", (0.0, 0.4), runs=2).to_csv()
     assert a == b
     header = a.splitlines()[0]
     assert header.startswith("delta,")

@@ -141,7 +141,7 @@ def test_degree_stats_isolated_nodes():
 
 def test_reference_scenario_is_connected():
     pos = place_uniform(100, 1000.0, 1000.0, rng_stream(42, "placement"))
-    top = build_adjacency(pos, 250.0, 1000.0, 1000.0)
+    top = build_adjacency(pos, 250.0)
     assert is_connected(top)
 
 
