@@ -76,6 +76,9 @@ def awake_predicate(phases, config):
     """
     period = config.period
     t_active = config.t_active
+    # Python floats: for positive operands float % and numpy's mod are
+    # both an exact fmod, and the scalar path is much faster
+    phases = np.asarray(phases, dtype=np.float64).tolist()
 
     def awake(node, t):
         dt = t - phases[node]

@@ -13,6 +13,7 @@ import heapq
 import json
 import math
 import zlib
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,8 +24,7 @@ from .errors import InvalidConfigError, SetupError
 
 EV_HELLO = 0
 EV_LAUNCH = 1
-EV_HOP = 2
-EV_VISIT = 3
+EV_VISIT = 2
 
 STREAM_LABELS = ("placement", "phases", "walks", "sink")
 
@@ -236,47 +236,46 @@ def build_topology(config, placement_seed=None):
     if config.placement_file:
         with open(config.placement_file) as fh:
             positions = topo.load_placement(fh.read())
+        if positions.shape[0] != config.n:
+            raise InvalidConfigError(
+                f"placement file {config.placement_file} has {positions.shape[0]} "
+                f"nodes but n is {config.n}; set n={positions.shape[0]}"
+            )
     else:
         rng = rng_stream(seed, "placement")
         positions = topo.place_uniform(config.n, config.width, config.height, rng)
     return topo.build_adjacency(positions, config.radio_range)
 
 
-class _FloatStream:
-    """Buffered uniform [0, 1) draws from one generator."""
-
-    __slots__ = ("rng", "chunk", "buf", "i")
-
-    def __init__(self, rng, chunk=65536):
-        self.rng = rng
-        self.chunk = chunk
-        self.buf = rng.random(chunk)
-        self.i = 0
-
-    def next(self):
-        i = self.i
-        if i >= self.buf.shape[0]:
-            self.buf = self.rng.random(self.chunk)
-            i = 0
-        self.i = i + 1
-        return self.buf[i]
+def _draws(rng, chunk=1024):
+    """Uniform [0, 1) draws from one generator, as Python floats; the
+    values do not depend on the chunk size."""
+    while True:
+        yield from rng.random(chunk).tolist()
 
 
 def run(config, topology=None):
     """Execute one simulation; identical (config, seed) gives an identical
-    trace. A topology may be passed in to share placement across runs."""
-    if topology is None:
-        topology = build_topology(config)
-    n = topology.n
+    trace. A topology may be passed in to share placement across runs; it
+    is built only if hellos or require_connected read it.
+
+    Walk hops wait in a FIFO queue, other events in a heap: every hop is
+    due hop_latency after the event being dispatched, whose time never
+    decreases, so the queue stays sorted by (time, seq)."""
+    n = config.n
     duty = config.duty_config()
-    if config.require_connected and not topo.is_connected(topology):
-        raise SetupError("topology is disconnected but require_connected is set")
+    adjacency = ()
+    if config.dissemination_enabled or config.require_connected:
+        if topology is None:
+            topology = build_topology(config)
+        if config.require_connected and not topo.is_connected(topology):
+            raise SetupError("topology is disconnected but require_connected is set")
+        adjacency = topology.neighbors
 
     phases = dutycycle.draw_phases(n, duty, rng_stream(config.seed, "phases"))
     awake = dutycycle.awake_predicate(phases, duty)
     horizon = config.horizon_s
 
-    adjacency = topology.neighbors
     policy = config.resolved_view_policy()
     views = [View(i, policy) for i in range(n)]
     tables = [dissemination.NeighborTable(i) for i in range(n)]
@@ -284,7 +283,8 @@ def run(config, topology=None):
     readings = [0] * n                 # monotone per-node sequence numbers
     size_log = []                      # (time, node, view size) deltas
 
-    heap = []
+    heap = []                          # (t, seq, kind, payload)
+    hops = deque()                     # (t, seq, msg), sorted as pushed
     seq = 0
 
     def schedule(t, kind, payload):
@@ -298,12 +298,13 @@ def run(config, topology=None):
     advertise_period = config.resolved_advertise_period()
 
     if config.dissemination_enabled and horizon > 0:
+        starts = phases.tolist()
         for node in range(n):
-            if phases[node] <= horizon:
-                schedule(phases[node], EV_HELLO, node)
+            if starts[node] <= horizon:
+                schedule(starts[node], EV_HELLO, node)
         for node in range(n):
-            if phases[node] <= horizon:
-                schedule(phases[node], EV_LAUNCH, node)
+            if starts[node] <= horizon:
+                schedule(starts[node], EV_LAUNCH, node)
 
     report = None
     plan = None
@@ -320,10 +321,11 @@ def run(config, topology=None):
             if t <= horizon:
                 schedule(t, EV_VISIT, idx)
 
-    walk_draws = _FloatStream(rng_stream(config.seed, "walks"))
+    draw = _draws(rng_stream(config.seed, "walks")).__next__
     launches = 0
     depositions = 0
     launch_skips = 0
+    hop_events = 0
     event_counts = {"hello": 0, "launch": 0, "hop": 0, "visit": 0}
 
     def deposit(storage, origin, value, t):
@@ -335,19 +337,25 @@ def run(config, topology=None):
 
     pop = heapq.heappop
     push = heapq.heappush
-    while heap:
-        t, s, kind, payload = pop(heap)
-        if kind == EV_HOP:
-            event_counts["hop"] += 1
-            msg = payload
-            if dissemination.hop(msg, known[msg.current], awake, t, walk_draws.next()):
+    next_hop = hops.popleft
+    push_hop = hops.append
+    while True:
+        # seq is unique, so comparing entries never reaches the payload
+        if hops and (not heap or hops[0] < heap[0]):
+            t, _, msg = next_hop()
+            hop_events += 1
+            if dissemination.hop(msg, known[msg.current], awake, t, draw()):
                 deposit(msg.current, msg.origin, msg.data_value, t)
             else:
                 nxt = t + hop_latency
                 if nxt <= horizon:  # otherwise dropped at horizon, counted below
-                    push(heap, (nxt, seq, EV_HOP, msg))
+                    push_hop((nxt, seq, msg))
                     seq += 1
-        elif kind == EV_HELLO:
+            continue
+        if not heap:
+            break
+        t, _, kind, payload = pop(heap)
+        if kind == EV_HELLO:
             event_counts["hello"] += 1
             node = payload
             dissemination.hello_tick(node, t, adjacency[node], awake, tables)
@@ -367,7 +375,7 @@ def run(config, topology=None):
                     msg = RWMessage(node, rw_length, t, readings[node], node)
                     nxt = t + hop_latency
                     if nxt <= horizon:
-                        push(heap, (nxt, seq, EV_HOP, msg))
+                        push_hop((nxt, seq, msg))
                         seq += 1
             else:
                 launch_skips += 1
@@ -386,6 +394,7 @@ def run(config, topology=None):
             else:
                 origins = set()
             report.record_visit(node, t, origins)
+    event_counts["hop"] = hop_events
 
     times = np.arange(0.0, math.floor(horizon) + 1.0)
     active = dutycycle.active_counts(phases, duty, times)

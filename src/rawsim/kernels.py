@@ -1,8 +1,8 @@
 """Numpy kernels for the array-heavy steps: disk-graph adjacency and the
 awake-node count over the sample grid.
 
-The event loop itself is plain Python; these are the only vectorized
-parts of a run.
+These are the only vectorized parts of a run. The event loop in
+engine.py dispatches one event at a time in Python, on Python floats.
 """
 
 import numpy as np

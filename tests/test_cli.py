@@ -61,6 +61,21 @@ def test_malformed_values_exit_2(tmp_path, capsys):
         assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def test_placement_file_must_match_n(tmp_path, capsys):
+    placement = tmp_path / "p25.txt"
+    assert cli(["gen", "--n", "25", "--seed", "3", "--out", str(placement)]) == 0
+    capsys.readouterr()
+    out = tmp_path / "r"
+    base = ["run", "--set", f"placement_file={placement}", "--set", "horizon_s=30",
+            "--set", "sink_start_s=10", "--out", str(out)]
+    assert cli(base) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "25" in err and "100" in err
+    assert cli(base + ["--set", "n=25"]) == 0
+    assert json.loads((out / "summary.json").read_text())["config"]["n"] == 25
+
+
 def test_unknown_flag_exits_2():
     assert cli(["run", "--frobnicate"]) == 2
 

@@ -27,6 +27,16 @@ def test_rng_streams_independent_by_label():
     assert (a != b).any()
 
 
+def test_walk_draws_do_not_depend_on_chunk_size():
+    from itertools import islice
+
+    from rawsim.engine import _draws
+
+    whole = rng_stream(42, "walks").random(5000).tolist()
+    for chunk in (1, 7, 1024, 4096):
+        assert list(islice(_draws(rng_stream(42, "walks"), chunk), 5000)) == whole
+
+
 def test_run_deterministic():
     cfg = quick_config()
     t1 = run(cfg)
@@ -120,6 +130,51 @@ def test_run_goes_through_the_protocol_functions(monkeypatch):
     assert calls["pick_next"] == calls["hop"]
     assert calls["hello_tick"] == trace.event_counts["hello"] > 0
     assert calls["hear"] > 0
+
+
+def test_hop_times_are_python_floats(monkeypatch):
+    # numpy scalars on the hot path cost about half the loop's time
+    from rawsim import dissemination
+
+    seen = set()
+    real_hop = dissemination.hop
+
+    def recording_hop(msg, known, awake, t, pick):
+        seen.add(type(t))
+        seen.add(type(pick))
+        return real_hop(msg, known, awake, t, pick)
+
+    monkeypatch.setattr(dissemination, "hop", recording_hop)
+    trace = run(quick_config())
+    assert trace.event_counts["hop"] > 0
+    assert seen == {float}
+
+
+def test_awake_predicate_accepts_list_and_ndarray():
+    from rawsim.dutycycle import DutyCycleConfig, awake_predicate
+
+    duty = DutyCycleConfig(t_active=1.0, t_sleep=9.0)
+    phases = [0.5, 3.0]
+    for form in (phases, np.array(phases)):
+        awake = awake_predicate(form, duty)
+        assert [awake(0, 1.0), awake(0, 1.5), awake(1, 2.0), awake(1, 13.5)] == [
+            True, False, False, True,
+        ]
+
+
+def test_run_without_hellos_builds_no_topology(monkeypatch):
+    from rawsim import engine
+
+    def no_topology(*args, **kwargs):
+        raise AssertionError("topology built but nothing reads it")
+
+    monkeypatch.setattr(engine, "build_topology", no_topology)
+    cfg = quick_config(dissemination_enabled=False, sink_visits=20, sink_gap_s=1.0)
+    trace = run(cfg)
+    # with no walks, a visit collects the visited node's own reading only
+    assert trace.sink_report.coverage == 1.0
+    assert trace.active_counts.shape == (61,)
+    assert trace.view_sizes.shape == (61, 20)
 
 
 def test_strict_sink_skips_sleeping_nodes():
