@@ -88,7 +88,8 @@ def awake_predicate(phases, config):
 
 
 def active_counts(phases, config, times):
-    """Awake-node count at each sample time (vectorized over nodes)."""
+    """Awake-node count at each of the ascending sample times, counted
+    per duty-cycle window (see kernels.active_counts)."""
     phases = np.ascontiguousarray(phases, dtype=np.float64)
     times = np.ascontiguousarray(times, dtype=np.float64)
     return kernels.active_counts(phases, config.period, config.t_active, times)

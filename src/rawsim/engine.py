@@ -231,11 +231,23 @@ def fmt(x):
     return f"{float(x):.6g}"
 
 
+def reads_topology(config):
+    """Whether a run reads the topology: hellos need it, and so does the
+    connectivity check."""
+    return config.dissemination_enabled or config.require_connected
+
+
 def build_topology(config, placement_seed=None):
     seed = config.seed if placement_seed is None else placement_seed
     if config.placement_file:
-        with open(config.placement_file) as fh:
-            positions = topo.load_placement(fh.read())
+        try:
+            with open(config.placement_file) as fh:
+                text = fh.read()
+        except OSError as exc:
+            raise InvalidConfigError(
+                f"cannot read placement file {config.placement_file}: {exc}"
+            ) from exc
+        positions = topo.load_placement(text)
         if positions.shape[0] != config.n:
             raise InvalidConfigError(
                 f"placement file {config.placement_file} has {positions.shape[0]} "
@@ -265,7 +277,7 @@ def run(config, topology=None):
     n = config.n
     duty = config.duty_config()
     adjacency = ()
-    if config.dissemination_enabled or config.require_connected:
+    if reads_topology(config):
         if topology is None:
             topology = build_topology(config)
         if config.require_connected and not topo.is_connected(topology):
@@ -278,8 +290,11 @@ def run(config, topology=None):
 
     policy = config.resolved_view_policy()
     views = [View(i, policy) for i in range(n)]
-    tables = [dissemination.NeighborTable(i) for i in range(n)]
-    known = [t.known for t in tables]      # aliases, grown by hello_tick
+    tables = known = draw = None      # read only by hellos and hops
+    if config.dissemination_enabled:
+        tables = [dissemination.NeighborTable(i) for i in range(n)]
+        known = [t.known for t in tables]  # aliases, grown by hello_tick
+        draw = _draws(rng_stream(config.seed, "walks")).__next__
     readings = [0] * n                 # monotone per-node sequence numbers
     size_log = []                      # (time, node, view size) deltas
 
@@ -321,7 +336,6 @@ def run(config, topology=None):
             if t <= horizon:
                 schedule(t, EV_VISIT, idx)
 
-    draw = _draws(rng_stream(config.seed, "walks")).__next__
     launches = 0
     depositions = 0
     launch_skips = 0
@@ -418,17 +432,23 @@ def run(config, topology=None):
 
 
 def _view_size_series(size_log, times, n):
-    """Per-node view sizes on the sample grid, replayed from change deltas."""
+    """Per-node view sizes on the sample grid, replayed from change deltas;
+    every row after the last change is filled with one slice."""
     out = np.zeros((times.shape[0], n), dtype=np.int32)
     current = np.zeros(n, dtype=np.int32)
     j = 0
     total = len(size_log)
-    for k, t in enumerate(times):
+    k = 0
+    for t in times.tolist():
+        if j == total:
+            break
         while j < total and size_log[j][0] <= t:
             _, node, size = size_log[j]
             current[node] = size
             j += 1
         out[k] = current
+        k += 1
+    out[k:] = current
     return out
 
 
@@ -459,29 +479,32 @@ def replicate(config, runs=None, keep_traces=True):
     if runs < 1:
         raise InvalidConfigError(f"runs must be >= 1, got {runs}")
 
-    shared = build_topology(config) if config.fixed_topology else None
+    shared = None
+    if config.fixed_topology and reads_topology(config):
+        shared = build_topology(config)
+    # each trace is read as soon as it ends, so that without keep_traces
+    # only one run's arrays are alive at a time
     traces = []
+    scalars = {}
+    coverage = []
     for i in range(runs):
         cfg = config.with_updates(seed=config.seed + i)
-        traces.append(run(cfg, topology=shared))
-
-    scalars = {}
-    for trace in traces:
+        trace = run(cfg, topology=shared)
         for name, value in trace.summary().items():
             scalars.setdefault(name, []).append(float(value))
+        if trace.sink_report is not None:
+            coverage.append(sink.coverage_fractions(trace.sink_report))
+        if keep_traces:
+            traces.append(trace)
     metrics = {
         name: (float(np.mean(vals)), float(np.std(vals)))
         for name, vals in scalars.items()
     }
 
-    coverage = None
-    if traces[0].sink_report is not None:
-        coverage = np.array([sink.coverage_fractions(t.sink_report) for t in traces])
-
     return ReplicateResult(
         config=config,
         runs=runs,
-        traces=traces if keep_traces else [],
+        traces=traces,
         metrics=metrics,
-        coverage_matrix=coverage,
+        coverage_matrix=np.array(coverage) if coverage else None,
     )

@@ -76,6 +76,14 @@ def test_placement_file_must_match_n(tmp_path, capsys):
     assert json.loads((out / "summary.json").read_text())["config"]["n"] == 25
 
 
+def test_unreadable_placement_file_exits_2(tmp_path, capsys):
+    out = tmp_path / "r"
+    assert cli(["run", "--set", f"placement_file={tmp_path}", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(tmp_path) in err
+
+
 def test_unknown_flag_exits_2():
     assert cli(["run", "--frobnicate"]) == 2
 

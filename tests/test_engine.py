@@ -239,6 +239,57 @@ def test_fixed_topology_shares_placement():
     assert redrawn.runs == 2
 
 
+@pytest.mark.parametrize("disseminate", [False, True])
+def test_replicate_builds_a_fixed_topology_only_if_a_run_reads_it(monkeypatch, disseminate):
+    from rawsim import engine
+
+    built = []
+    given = []
+    build, one_run = engine.build_topology, engine.run
+
+    def counting_build(*args, **kwargs):
+        built.append(build(*args, **kwargs))
+        return built[-1]
+
+    def recording_run(config, topology=None):
+        given.append(topology)
+        return one_run(config, topology=topology)
+
+    monkeypatch.setattr(engine, "build_topology", counting_build)
+    monkeypatch.setattr(engine, "run", recording_run)
+    cfg = quick_config(fixed_topology=True, sink_enabled=False,
+                       dissemination_enabled=disseminate)
+    replicate(cfg, runs=2)
+    if disseminate:
+        assert len(built) == 1
+        assert given[0] is given[1] is built[0]
+    else:
+        assert built == []
+        assert given == [None, None]
+
+
+def test_replicate_without_traces_keeps_one_run_alive(monkeypatch):
+    import weakref
+
+    from rawsim import engine
+
+    refs = []
+    alive = []
+    one_run = engine.run
+
+    def recording_run(config, topology=None):
+        alive.append(sum(ref() is not None for ref in refs))
+        trace = one_run(config, topology=topology)
+        refs.append(weakref.ref(trace))
+        return trace
+
+    monkeypatch.setattr(engine, "run", recording_run)
+    cfg = quick_config(sink_enabled=False, dissemination_enabled=False)
+    result = replicate(cfg, runs=3, keep_traces=False)
+    assert result.traces == [] and len(alive) == 3
+    assert max(alive) <= 1  # the previous run's trace, until it is replaced
+
+
 def test_config_from_mapping_coercion():
     cfg = SimConfig.from_mapping(
         {

@@ -13,7 +13,13 @@ import hashlib
 import pytest
 
 from rawsim.engine import run
-from rawsim.experiments import COVERAGE_VARIANTS, coverage_config
+from rawsim.experiments import (
+    COVERAGE_VARIANTS,
+    active_sweep_config,
+    apply_param,
+    coverage_config,
+    exp_active_vs_delta,
+)
 
 GOLDEN = {
     "normal": "4cc8fd992b9888807a97cd80069796122ae078f2b0c88df82ac8a9a95cc75e9c",
@@ -65,3 +71,25 @@ def test_golden_equal_time_order_is_bit_exact(variant, latency, rw_length):
     text = trace.summary_json() + trace.sink_csv() + trace.samples_csv()
     expected = GOLDEN_TIES[(variant, latency, rw_length)]
     assert hashlib.sha256(text.encode()).hexdigest() == expected
+
+
+# The active-node analysis: a small delta sweep, and a run at delta 0.9
+# with zero timeouts, where every phase is 0 and every window edge falls
+# exactly on an integer sample time.
+GOLDEN_SWEEP = "a0450f5a400291595b37a4b0e3bd467fbf3feee1b623cc88b676778bceaf65fc"
+GOLDEN_EDGES = "848cb7e8f2f8c02a4039da99ddbb0cde794058f02a48d4b3904356477ebb16b2"
+
+
+def sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_golden_active_sweep_is_bit_exact():
+    assert sha256(exp_active_vs_delta(50, runs=3, seed=42).to_csv()) == GOLDEN_SWEEP
+
+
+def test_golden_samples_on_window_edges_are_bit_exact():
+    cfg = apply_param(active_sweep_config(50, seed=42), "delta", 0.9).with_updates(
+        timeout_min_s=0.0, timeout_max_s=0.0
+    )
+    assert sha256(run(cfg).samples_csv()) == GOLDEN_EDGES
