@@ -58,7 +58,8 @@ class ViewEntry:
 
 
 class View:
-    """Origin-keyed descriptor collection owned by one storage mote."""
+    """Origin-keyed descriptor collection owned by one storage mote. Its
+    times and a timeout policy's tau share one unit: ticks in a run."""
 
     def __init__(self, owner, policy):
         self.owner = owner

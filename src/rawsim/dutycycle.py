@@ -3,6 +3,9 @@
 A node waits out an initial timeout (its phase), then repeats: active for
 t_active seconds, asleep for t_sleep seconds, period U = t_active + t_sleep.
 The sleep fraction is delta = t_sleep / U.
+
+A run keeps time in integer ticks of TICK_S seconds; to_ticks is the one
+place where seconds become ticks.
 """
 
 import math
@@ -10,8 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import kernels
 from .errors import InvalidConfigError
+
+TICKS_PER_S = 1_000_000
+TICK_S = 1 / TICKS_PER_S
 
 
 @dataclass(frozen=True)
@@ -67,32 +72,31 @@ def draw_phases(n, config, rng):
     return rng.uniform(config.timeout_min, config.timeout_max, size=n)
 
 
-def awake_predicate(phases, config):
-    """The awake rule as awake(node, t) -> bool, a pure function of time.
+def to_ticks(seconds):
+    """Seconds as whole ticks, rounded half to even: an int for a scalar,
+    an int64 array for an array."""
+    ticks = np.rint(np.multiply(seconds, TICKS_PER_S))
+    if not np.all(np.abs(ticks) < 2.0**63):
+        raise InvalidConfigError(f"time out of the int64 tick range: {seconds} s")
+    ticks = ticks.astype(np.int64)
+    return int(ticks) if ticks.ndim == 0 else ticks
+
+
+def awake_predicate(phases, period, t_active):
+    """The awake rule as awake(node, t) -> bool, a pure function of time;
+    phases, period, t_active and t are integer ticks.
 
     A node is awake once its phase has passed and t falls in the active
     part of its period; before its phase (the initial timeout) it is not.
-    active_counts is the same rule vectorized over nodes and times.
+    kernels.active_counts is the same rule vectorized over nodes and times.
     """
-    period = config.period
-    t_active = config.t_active
-    # Python floats: for positive operands float % and numpy's mod are
-    # both an exact fmod, and the scalar path is much faster
-    phases = np.asarray(phases, dtype=np.float64).tolist()
+    phases = np.asarray(phases, dtype=np.int64).tolist()
 
     def awake(node, t):
         dt = t - phases[node]
-        return dt >= 0.0 and dt % period < t_active
+        return dt >= 0 and dt % period < t_active
 
     return awake
-
-
-def active_counts(phases, config, times):
-    """Awake-node count at each of the ascending sample times, counted
-    per duty-cycle window (see kernels.active_counts)."""
-    phases = np.ascontiguousarray(phases, dtype=np.float64)
-    times = np.ascontiguousarray(times, dtype=np.float64)
-    return kernels.active_counts(phases, config.period, config.t_active, times)
 
 
 def expected_active(n, sleep_fraction):

@@ -5,7 +5,9 @@ independent executions with consecutive seeds. All randomness comes from
 named Philox streams keyed by (seed, label), so e.g. changing the number
 of sink visits never perturbs placement or walk draws. Events dispatch in
 (time, sequence) order; the sequence counter is assigned at scheduling
-time, which makes equal-time dispatch order the scheduling order.
+time, which makes equal-time dispatch order the scheduling order. Inside
+a run, time is integer ticks (dutycycle.to_ticks); configs, traces and
+outputs are in seconds.
 """
 
 import dataclasses
@@ -18,8 +20,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import dissemination, dutycycle, sink, topology as topo
-from .dissemination import RWMessage, View, ViewEntry, parse_view_policy, resolve_rw_length
+from . import dissemination, dutycycle, kernels, sink, topology as topo
+from .dissemination import (
+    RWMessage, TimeoutBased, View, ViewEntry, parse_view_policy, resolve_rw_length,
+)
 from .errors import InvalidConfigError, SetupError
 
 EV_HELLO = 0
@@ -78,12 +82,24 @@ class SimConfig:
             raise InvalidConfigError(
                 f"replications must be >= 1, got {self.replications}"
             )
-        if self.hop_latency_s <= 0 or self.hello_interval_s <= 0:
-            raise InvalidConfigError("hop latency and hello interval must be > 0")
         # validate eagerly so bad configs fail before a run starts
         self.duty_config()
         self.resolved_rw_length()
-        self.resolved_view_policy()
+        durations = {
+            "t_active_s": self.t_active_s,
+            "hello_interval_s": self.hello_interval_s,
+            "hop_latency_s": self.hop_latency_s,
+            "advertise_period_s": self.resolved_advertise_period(),
+        }
+        policy = self.resolved_view_policy()
+        if isinstance(policy, TimeoutBased):
+            durations["view_policy timeout"] = policy.tau
+        for name, seconds in durations.items():
+            if dutycycle.to_ticks(seconds) < 1:
+                raise InvalidConfigError(
+                    f"{name} must be at least one tick ({dutycycle.TICK_S:g} s), "
+                    f"got {seconds}"
+                )
         if self.sink_enabled and self.resolved_sink_visits() < 1:
             raise InvalidConfigError("sink_visits must be >= 1")
         if self.sink_gap_s < 0 or self.sink_start_s < 0:
@@ -222,6 +238,7 @@ class RunTrace:
             "seed": self.seed,
             "metrics": self.summary(),
             "event_counts": self.event_counts,
+            "tick_s": dutycycle.TICK_S,
         }
         return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
@@ -273,7 +290,8 @@ def run(config, topology=None):
 
     Walk hops wait in a FIFO queue, other events in a heap: every hop is
     due hop_latency after the event being dispatched, whose time never
-    decreases, so the queue stays sorted by (time, seq)."""
+    decreases, so the queue stays sorted by (time, seq). Every time in the
+    loop is an int number of ticks."""
     n = config.n
     duty = config.duty_config()
     adjacency = ()
@@ -284,11 +302,17 @@ def run(config, topology=None):
             raise SetupError("topology is disconnected but require_connected is set")
         adjacency = topology.neighbors
 
-    phases = dutycycle.draw_phases(n, duty, rng_stream(config.seed, "phases"))
-    awake = dutycycle.awake_predicate(phases, duty)
-    horizon = config.horizon_s
+    to_ticks = dutycycle.to_ticks
+    drawn = dutycycle.draw_phases(n, duty, rng_stream(config.seed, "phases"))
+    phases = to_ticks(drawn)
+    period = to_ticks(duty.period)
+    t_active = to_ticks(duty.t_active)
+    awake = dutycycle.awake_predicate(phases, period, t_active)
+    horizon = to_ticks(config.horizon_s)
 
     policy = config.resolved_view_policy()
+    if isinstance(policy, TimeoutBased):  # views age their entries in ticks
+        policy = TimeoutBased(to_ticks(policy.tau))
     views = [View(i, policy) for i in range(n)]
     tables = known = draw = None      # read only by hellos and hops
     if config.dissemination_enabled:
@@ -308,9 +332,9 @@ def run(config, topology=None):
         seq += 1
 
     rw_length = config.resolved_rw_length()
-    hop_latency = config.hop_latency_s
-    hello_interval = config.hello_interval_s
-    advertise_period = config.resolved_advertise_period()
+    hop_latency = to_ticks(config.hop_latency_s)
+    hello_interval = to_ticks(config.hello_interval_s)
+    advertise_period = to_ticks(config.resolved_advertise_period())
 
     if config.dissemination_enabled and horizon > 0:
         starts = phases.tolist()
@@ -332,7 +356,7 @@ def run(config, topology=None):
             rng_stream(config.seed, "sink"),
         )
         report = sink.SinkReport(n=n)
-        for idx, t in enumerate(plan.times):
+        for idx, t in enumerate(to_ticks(plan.times).tolist()):
             if t <= horizon:
                 schedule(t, EV_VISIT, idx)
 
@@ -407,12 +431,13 @@ def run(config, topology=None):
                 origins = sink.collect_origins(node, view)
             else:
                 origins = set()
-            report.record_visit(node, t, origins)
+            report.record_visit(node, plan.times[payload], origins)
     event_counts["hop"] = hop_events
 
-    times = np.arange(0.0, math.floor(horizon) + 1.0)
-    active = dutycycle.active_counts(phases, duty, times)
-    view_sizes = _view_size_series(size_log, times, n)
+    times = np.arange(0.0, math.floor(config.horizon_s) + 1.0)
+    samples = to_ticks(times)
+    active = kernels.active_counts(phases, period, t_active, samples)
+    view_sizes = _view_size_series(size_log, samples, n)
     dropped = launches - depositions
 
     return RunTrace(
@@ -427,13 +452,13 @@ def run(config, topology=None):
         depositions=depositions,
         launch_skips=launch_skips,
         dropped_in_flight=dropped,
-        phases=phases,
+        phases=drawn,
     )
 
 
 def _view_size_series(size_log, times, n):
-    """Per-node view sizes on the sample grid, replayed from change deltas;
-    every row after the last change is filled with one slice."""
+    """Per-node view sizes at the sample ticks, replayed from change
+    deltas; every row after the last change is filled with one slice."""
     out = np.zeros((times.shape[0], n), dtype=np.int32)
     current = np.zeros(n, dtype=np.int32)
     j = 0

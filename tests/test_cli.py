@@ -55,6 +55,13 @@ def test_malformed_values_exit_2(tmp_path, capsys):
         ["run", "--set", "view_policy=size:abc"],
         ["sweep", "--param", "n", "--values", "1.5"],
         ["run", "--set", "n=-4", "--set", "rw_length=2"],
+        # positive durations that round to 0 ticks of 1 us
+        ["run", "--set", "hop_latency_s=1e-7"],
+        ["run", "--set", "hello_interval_s=1e-7"],
+        ["run", "--set", "t_active_s=1e-7"],
+        ["run", "--set", "advertise_period_s=4e-7"],
+        ["run", "--set", "view_policy=timeout:1e-7"],
+        ["run", "--set", "advertise_period_s=0"],
     ):
         assert cli(args + ["--out", out]) == 2
         err = capsys.readouterr().err

@@ -19,7 +19,7 @@ from rawsim.dissemination import (
     pick_next,
     resolve_rw_length,
 )
-from rawsim.dutycycle import DutyCycleConfig, awake_predicate
+from rawsim.dutycycle import awake_predicate
 from rawsim.engine import rng_stream
 from rawsim.errors import InvalidConfigError
 
@@ -70,11 +70,10 @@ def test_pick_next_sleeping_neighbor_stalls():
 
 
 def test_pick_next_timeout_neighbor_stalls():
-    # node 3 is still in its initial timeout at t = 40.5, although
-    # (40.5 - 50) % 10 = 0.5 falls in an active window
-    cfg = DutyCycleConfig(t_active=1.0, t_sleep=9.0, timeout_max=60.0)
-    awake = awake_predicate([0.0, 0.0, 0.0, 50.0, 0.0], cfg)
-    assert pick_next(4, [3], awake, 40.5, 0.0) == 4
+    # node 3 is still in its initial timeout at t = 40.5 s, although
+    # (40.5 - 50) % 10 = 0.5 falls in an active window; times in 1 us ticks
+    awake = awake_predicate([0, 0, 0, 50_000_000, 0], 10_000_000, 1_000_000)
+    assert pick_next(4, [3], awake, 40_500_000, 0.0) == 4
 
 
 def test_hop_single_step_terminates_at_neighbor():

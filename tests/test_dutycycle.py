@@ -6,17 +6,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rawsim.dutycycle import (
+    TICK_S,
     DutyCycleConfig,
-    active_counts,
     awake_predicate,
     config_for_delta,
     delta,
     delta_for_target,
     draw_phases,
     expected_active,
+    to_ticks,
 )
 from rawsim.engine import rng_stream
 from rawsim.errors import InvalidConfigError
+from rawsim.kernels import active_counts
+
+S = 1_000_000  # ticks per second
 
 
 def test_delta_values():
@@ -51,51 +55,64 @@ def test_config_for_delta_rejects_full_sleep():
     assert cfg.t_sleep == pytest.approx(9.0)
 
 
+def test_to_ticks_rounds_to_whole_microseconds():
+    assert TICK_S == 1e-6
+    assert to_ticks(1.0) == S and type(to_ticks(1.0)) is int
+    assert to_ticks(0.01) == 10_000  # 0.01 * 1e6 is 10000.000000000002
+    assert to_ticks(0.1 + 0.2) == 300_000
+    assert to_ticks(9.999999999999998) == 10 * S
+    assert to_ticks(4e-7) == 0 and to_ticks(6e-7) == 1
+    assert to_ticks(2.5e-6) == 2  # half to even, as np.rint
+    ticks = to_ticks(np.array([0.0, 0.1, 7.3]))
+    assert ticks.dtype == np.int64 and ticks.tolist() == [0, 100_000, 7_300_000]
+    with pytest.raises(InvalidConfigError):
+        to_ticks(1e300)
+
+
 def test_awake_predicate_examples():
-    cfg = DutyCycleConfig(t_active=1.0, t_sleep=9.0, timeout_max=20.0)
-    awake = awake_predicate(np.array([0.0, 3.0, 12.0]), cfg)
-    assert not awake(1, 2.0)   # before its phase, a node is not awake
+    awake = awake_predicate(np.array([0, 3 * S, 12 * S]), 10 * S, S)
+    assert not awake(1, 2 * S)   # before its phase, a node is not awake
     # nor when the window arithmetic alone would say so: (2.5 - 12) % 10 = 0.5
-    assert not awake(2, 2.5)
-    assert awake(0, 0.5)
-    assert not awake(0, 5.0)
-    assert awake(0, 10.5)      # period U = 10
+    assert not awake(2, 5 * S // 2)
+    assert awake(0, S // 2)
+    assert not awake(0, 5 * S)
+    assert awake(0, 10 * S + S // 2)  # period U = 10 s
+    # window edges are exact: awake at a window start, asleep at its end
+    assert awake(1, 3 * S) and awake(1, 13 * S) and awake(1, 4 * S - 1)
+    assert not awake(1, 4 * S) and not awake(1, 13 * S - 1)
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=300, deadline=None)
 @given(
-    st.floats(0.1, 10),
-    st.floats(0, 10),
-    st.floats(0, 20),
-    st.floats(0, 100),
+    st.integers(1, 10 * S),
+    st.integers(0, 10 * S),
+    st.integers(0, 20 * S),
+    st.integers(-2, 50),
+    st.sampled_from((-1, 0, 1)),
+    st.integers(0, 100 * S),
 )
-def test_awake_predicate_is_pure_and_periodic(t_active, t_sleep, phase, t):
-    cfg = DutyCycleConfig(t_active=t_active, t_sleep=t_sleep, timeout_max=20.0)
-    awake = awake_predicate(np.array([phase]), cfg)
-    state = awake(0, t)
-    assert awake(0, t) == state
-    if t < phase:
-        assert not state
-    else:
-        # periodicity, checked away from window boundaries where float
-        # rounding of the modulo can flip the state
-        offset = (t - phase) % cfg.period
-        eps = 1e-9 * max(1.0, t + cfg.period)
-        boundaries = (0.0, cfg.t_active, cfg.period)
-        if all(abs(offset - b) > eps for b in boundaries):
-            assert state == (offset < cfg.t_active)
-            assert awake(0, t + cfg.period) == state
+def test_awake_predicate_is_pure_and_periodic(t_active, t_sleep, phase, q, shift, t):
+    period = t_active + t_sleep
+    awake = awake_predicate(np.array([phase]), period, t_active)
+    # besides any t, a window edge or a tick next to one
+    for when in (t, phase + q * period + shift, phase + q * period + t_active + shift):
+        state = awake(0, when)
+        assert awake(0, when) == state
+        if when < phase:
+            assert not state
+        else:
+            # periodicity holds exactly, on window edges too
+            assert state == ((when - phase) % period < t_active)
+            assert awake(0, when + period) == state
 
 
 def test_long_run_active_fraction_exact_over_whole_periods():
-    cfg = DutyCycleConfig(t_active=1.0, t_sleep=9.0)
-    phase = 4.0
-    awake = awake_predicate(np.array([phase]), cfg)
-    # integrate on a fine grid over 20 whole periods past the phase
-    dt = 0.001
-    ts = np.arange(phase, phase + 20 * cfg.period, dt)
+    phase, period, t_active = 4 * S, 10 * S, S
+    awake = awake_predicate(np.array([phase]), period, t_active)
+    # every millisecond over 20 whole periods past the phase
+    ts = range(phase, phase + 20 * period, 1000)
     frac = np.mean([awake(0, t) for t in ts])
-    assert frac == pytest.approx(cfg.t_active / cfg.period, abs=0.001)
+    assert frac == t_active / period
 
 
 def test_expected_active_values():
@@ -120,19 +137,20 @@ def test_population_matches_expectation_over_replications():
     cfg = config_for_delta(frac, 10.0)
     averages = []
     for rep in range(15):
-        phases = draw_phases(n, cfg, rng_stream(100 + rep, "phases"))
-        times = np.arange(cfg.timeout_max, cfg.timeout_max + cfg.period, 0.05)
-        averages.append(active_counts(phases, cfg, times).mean())
+        phases = to_ticks(draw_phases(n, cfg, rng_stream(100 + rep, "phases")))
+        times = to_ticks(np.arange(cfg.timeout_max, cfg.timeout_max + cfg.period, 0.05))
+        counts = active_counts(phases, to_ticks(cfg.period), to_ticks(cfg.t_active), times)
+        averages.append(counts.mean())
     sigma = math.sqrt(n * frac * (1 - frac))
     assert abs(np.mean(averages) - expected_active(n, frac)) <= 3 * sigma
 
 
 def test_active_counts_matches_awake_predicate():
     cfg = DutyCycleConfig(t_active=2.0, t_sleep=3.0, timeout_max=5.0)
-    phases = draw_phases(8, cfg, rng_stream(9, "phases"))
-    awake = awake_predicate(phases, cfg)
-    times = np.linspace(0.0, 30.0, 61)
-    counts = active_counts(phases, cfg, times)
-    for t, count in zip(times, counts):
+    phases = to_ticks(draw_phases(8, cfg, rng_stream(9, "phases")))
+    awake = awake_predicate(phases, 5 * S, 2 * S)
+    times = to_ticks(np.linspace(0.0, 30.0, 61))
+    counts = active_counts(phases, 5 * S, 2 * S, times)
+    for t, count in zip(times.tolist(), counts):
         manual = sum(awake(i, t) for i in range(len(phases)))
         assert manual == count

@@ -1,12 +1,17 @@
 import dataclasses
+import math
 import pathlib
 import re
 
 import numpy as np
 import pytest
 
+from rawsim.dutycycle import to_ticks
 from rawsim.engine import SimConfig, build_topology, replicate, rng_stream, run
 from rawsim.errors import InvalidConfigError, SetupError
+from rawsim.experiments import COVERAGE_VARIANTS, coverage_config
+
+S = 1_000_000  # ticks per second
 
 
 def quick_config(**kwargs):
@@ -132,34 +137,105 @@ def test_run_goes_through_the_protocol_functions(monkeypatch):
     assert calls["hear"] > 0
 
 
-def test_hop_times_are_python_floats(monkeypatch):
-    # numpy scalars on the hot path cost about half the loop's time
+def test_hop_gets_int_times_and_float_picks(monkeypatch):
+    # times are exact int ticks; numpy scalars on the hot path cost about
+    # half the loop's time
     from rawsim import dissemination
 
-    seen = set()
+    times, picks = set(), set()
     real_hop = dissemination.hop
 
     def recording_hop(msg, known, awake, t, pick):
-        seen.add(type(t))
-        seen.add(type(pick))
+        times.add(type(t))
+        picks.add(type(pick))
         return real_hop(msg, known, awake, t, pick)
 
     monkeypatch.setattr(dissemination, "hop", recording_hop)
     trace = run(quick_config())
     assert trace.event_counts["hop"] > 0
-    assert seen == {float}
+    assert times == {int} and picks == {float}
 
 
 def test_awake_predicate_accepts_list_and_ndarray():
-    from rawsim.dutycycle import DutyCycleConfig, awake_predicate
+    from rawsim.dutycycle import awake_predicate
 
-    duty = DutyCycleConfig(t_active=1.0, t_sleep=9.0)
-    phases = [0.5, 3.0]
+    phases = [S // 2, 3 * S]
     for form in (phases, np.array(phases)):
-        awake = awake_predicate(form, duty)
-        assert [awake(0, 1.0), awake(0, 1.5), awake(1, 2.0), awake(1, 13.5)] == [
+        awake = awake_predicate(form, 10 * S, S)
+        assert [awake(0, S), awake(0, 3 * S // 2), awake(1, 2 * S), awake(1, 27 * S // 2)] == [
             True, False, False, True,
         ]
+
+
+def coverage_run(variant, **updates):
+    """One short seed-42 run of a coverage variant, by default at n=30
+    with horizon 120 s."""
+    short = {"n": 30, "horizon_s": 120.0, "sink_start_s": 20.0}
+    return run(coverage_config(variant, seed=42).with_updates(**{**short, **updates}))
+
+
+def test_no_launch_skips_when_advertising_at_multiples_of_the_period():
+    # a launch is due at the phase plus whole periods, a window start
+    for variant in COVERAGE_VARIANTS:
+        for multiple in (1, 2):
+            cfg = coverage_config(variant, seed=42)
+            trace = coverage_run(
+                variant, advertise_period_s=multiple * cfg.duty_config().period
+            )
+            assert trace.launches > 0
+            assert trace.launch_skips == 0, (variant, multiple)
+
+
+@pytest.mark.parametrize("t_active_s", [1.0, 0.25])
+def test_one_awake_hello_per_window_when_active_time_is_the_hello_interval(
+    monkeypatch, t_active_s
+):
+    from rawsim import dissemination
+
+    sent = []  # (node, time) of every hello sent while awake
+    real = dissemination.hello_tick
+
+    def recording(node, now, neighbors, awake, tables):
+        if awake(node, now):
+            sent.append((node, now))
+        return real(node, now, neighbors, awake, tables)
+
+    monkeypatch.setattr(dissemination, "hello_tick", recording)
+    for variant in ("normal", "small-timeout", "dense"):
+        sent.clear()
+        trace = coverage_run(variant, t_active_s=t_active_s, hello_interval_s=t_active_s)
+        period = to_ticks(trace.config.duty_config().period)
+        horizon = to_ticks(trace.config.horizon_s)
+        for node, phase in enumerate(to_ticks(trace.phases).tolist()):
+            # U is a multiple of the hello interval, so each active window
+            # holds one hello, at its start
+            windows = list(range(phase, horizon + 1, period))
+            assert [t for v, t in sent if v == node] == windows, (variant, node)
+
+
+def test_discovery_is_fixed_after_one_common_period(monkeypatch):
+    # past max(phase) + lcm(hello, U) each hello meets the same awake
+    # neighbors as the hello lcm(hello, U) before it, so it adds no edge
+    from rawsim import dissemination
+
+    known = []  # (time, discovered directed edges) after each hello
+    real = dissemination.hello_tick
+
+    def recording(node, now, neighbors, awake, tables):
+        real(node, now, neighbors, awake, tables)
+        known.append((now, sum(len(table.known) for table in tables)))
+
+    monkeypatch.setattr(dissemination, "hello_tick", recording)
+    for variant in ("normal", "small-timeout", "dense"):
+        known.clear()
+        trace = coverage_run(variant, horizon_s=300.0)
+        config = trace.config
+        settled = to_ticks(trace.phases).max() + math.lcm(
+            to_ticks(config.hello_interval_s), to_ticks(config.duty_config().period)
+        )
+        assert settled < to_ticks(config.horizon_s)
+        before = [edges for t, edges in known if t < settled]
+        assert before[-1] == known[-1][1] > 0, variant
 
 
 def test_run_without_hellos_builds_no_topology(monkeypatch):

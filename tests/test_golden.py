@@ -3,7 +3,7 @@
 Each hash is the sha256 of summary_json() + sink_csv() + samples_csv() for
 one short run of a coverage variant (n=30, horizon 120 s, sink visits from
 20 s, seed 42). A refactor must leave every hash unchanged. A change that
-alters published numbers on purpose (for example exact integer time)
+alters published numbers on purpose (for example a new walk rule)
 updates the hashes here and records the before and after values in
 CHANGES.md.
 """
@@ -22,32 +22,33 @@ from rawsim.experiments import (
 )
 
 GOLDEN = {
-    "normal": "4cc8fd992b9888807a97cd80069796122ae078f2b0c88df82ac8a9a95cc75e9c",
-    "small-timeout": "dac9c9c7d422fcf52d2e21c9c00a7858a652092e0e88aad62f987d1036bf2b32",
-    "all-active": "1c87042ecf1c394f962a113eb3e4d35171377d985e62a9e97bdab5d1c72c3dd8",
-    "dense": "bc2c6902b70b94c08fb113f3f60942fe65ceed192d0c3d7b9bec1bdeafa26286",
+    "normal": "e15e96afb3e53d1e1c999e9f08db5b520a69233dfb125af6b1479380238ad6d8",
+    "small-timeout": "9fef24ac67980746e38c371ea9190e3389656ce1bd7fc1d7833a6e74b9befe55",
+    "all-active": "d0b44b7ca1afb6acbce85c362c565815d455957fa534e3a003f4aef6d21bd7d7",
+    "dense": "577f919cbad36c304401167371ea1061cb2a983df0bab643724c5967cee83752",
 }
 
 
 # Runs whose walk hops land at exactly the times of hellos, launches and
 # other hops, which the 0.01 s default latency does not do; these pin the
-# dispatch order of equal-time events. Latencies 0.25 and 0.5 divide the
+# dispatch order of equal-time events (times are integer ticks, so such
+# ties are exact). Latencies 0.25 and 0.5 divide the
 # hello interval, so a hop usually ties with events scheduled before it;
 # at 1.5 (longer than the hello interval) a hop also ties with hellos
 # scheduled after it. Short walks make most of them end in the horizon.
 GOLDEN_TIES = {
-    ("normal", 0.25, "8"): "8f09391bcc944467f0b226c959317a8bce643f2089507ff2a8eca8b7af9e7af7",
-    ("normal", 0.5, "8"): "4b683ad8db797852022687e38a5887b529408077bef1e74f2cc0ea341634f01b",
-    ("normal", 1.5, "15"): "cc1b93c6fd9bff304a2a2105adf675045145336f0baac30488fa910c92c5a9fe",
-    ("small-timeout", 0.25, "8"): "5a551028edeecdd69a5cbe03914bd1ed26fb433ce644fb6d4aabb2bdb4c3ccba",
-    ("small-timeout", 0.5, "8"): "b36e819f19941af40acb05f3a98e0c2ee57a5b90af0291e545b7750b62090ab0",
-    ("small-timeout", 1.5, "15"): "4b7ad9378a5a1c31c1dfadb1e16367edd1350c34e315671d0d3f2ef7c979c71e",
-    ("all-active", 0.25, "8"): "1b34dbc483216f7c4e95821bdc760f956bfa45f5fb770c2e378479add9acf61c",
-    ("all-active", 0.5, "8"): "fe01714ad3c2dc3c522c333185e0ee4684b294e3523648707a43dbc3d5d40c63",
-    ("all-active", 1.5, "15"): "6bb166707866ac5b954e347f63e3cc4ef1c8e3dccc8a9142dbc8423ba61ce7e4",
-    ("dense", 0.25, "8"): "f463f178b330afca85d7db25bc906e4dfdb369e3526f9d51cf58f8c8a2081385",
-    ("dense", 0.5, "8"): "8ded475d5a879a67d030cae4d5458b405e4a1a73f9d9605431e8efbad82bd81e",
-    ("dense", 1.5, "15"): "cece3452cb00a983e244bed303e6596d75cff23381a66fe782a9fd1846f8e062",
+    ("normal", 0.25, "8"): "b8e1d1034ce8de3a485ebd5fd4168066978cb7912e1a867defa4cebb0606350e",
+    ("normal", 0.5, "8"): "c32fd4b55d04af89a35a523ba0925d3a695fda3398280a69ad31a9797bdf0f93",
+    ("normal", 1.5, "15"): "f55b6ab8d625d8ea4abefb08207689bba3aaa67554b81e8ea5a3341e1dcf7453",
+    ("small-timeout", 0.25, "8"): "e9c8ecc3d7f1165217332af1d3b86526580280d877e7fa2d17382d4c3864b75e",
+    ("small-timeout", 0.5, "8"): "fb08443de8832c41502cbf43c0767b1e037cdb0362a521ef5e2161f1bc326c36",
+    ("small-timeout", 1.5, "15"): "e645f4aa377f3ac3ce4f11a747216412c42b7ea29217ad8c89079ca0cecf6dbe",
+    ("all-active", 0.25, "8"): "d966c37318fde84fc5a71c0484eb2099ae7a8a0cb3e0e8ee3bc6ebe6656d6353",
+    ("all-active", 0.5, "8"): "a6959ebc4ef09aa582531ce3b48fccadfef603c24e6f12848984d576f3120c8c",
+    ("all-active", 1.5, "15"): "c5a022f2f62bc621a60b5c28dde13058a4991b9033d771af101fc731f7b5dc57",
+    ("dense", 0.25, "8"): "f96fa1742b5b4661df676ed3d953aad8f7b3fdef6d7484bd98a6c94a4ab15d4a",
+    ("dense", 0.5, "8"): "8b85fb2a890264e62a51b1d156d1a9002ba78b916ba9bea7fe5778ae19c2a049",
+    ("dense", 1.5, "15"): "c531a79a73d634ee9e20080d77a29ccced3ccb1cd1b179284bc59c7e87e6bbee",
 }
 
 
