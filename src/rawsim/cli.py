@@ -7,6 +7,7 @@ configuration problem.
 """
 
 import argparse
+import contextlib
 import json
 import pathlib
 import sys
@@ -87,6 +88,16 @@ def _load_base_config(args):
     return config
 
 
+@contextlib.contextmanager
+def _writing(path):
+    """Report an OSError raised while writing outputs under path as a
+    configuration problem (exit 2), not a traceback."""
+    try:
+        yield
+    except OSError as exc:
+        raise InvalidConfigError(f"cannot write {path}: {exc}") from exc
+
+
 def cmd_gen(args):
     config = _load_base_config(args)
     n = args.n if args.n is not None else config.n
@@ -98,8 +109,9 @@ def cmd_gen(args):
     out = pathlib.Path(args.out)
     if out.is_dir():
         out = out / f"placement_n{n}.txt"
-    out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(topology.save_placement(positions))
+    with _writing(out):
+        out.parent.mkdir(parents=True, exist_ok=True)
+        out.write_text(topology.save_placement(positions))
     print(out)
     return 0
 
@@ -108,10 +120,11 @@ def cmd_run(args):
     config = _load_base_config(args)
     trace = run(config)
     out = pathlib.Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "trace.csv").write_text(trace.samples_csv())
-    (out / "sink.csv").write_text(trace.sink_csv())
-    (out / "summary.json").write_text(trace.summary_json())
+    with _writing(out):
+        out.mkdir(parents=True, exist_ok=True)
+        (out / "trace.csv").write_text(trace.samples_csv())
+        (out / "sink.csv").write_text(trace.sink_csv())
+        (out / "summary.json").write_text(trace.summary_json())
     print(out / "summary.json")
     return 0
 
@@ -124,15 +137,17 @@ def cmd_sweep(args):
     out = pathlib.Path(args.out)
     if out.is_dir():
         out = out / f"{name}.csv"
-    out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(dataset.to_csv())
+    with _writing(out):
+        out.parent.mkdir(parents=True, exist_ok=True)
+        out.write_text(dataset.to_csv())
     print(out)
     return 0
 
 
 def cmd_figures(args):
     seed = args.seed if args.seed is not None else 42
-    written = all_figures(seed=seed, out_dir=args.out, runs=args.runs)
+    with _writing(args.out):  # all_figures reads no file
+        written = all_figures(seed=seed, out_dir=args.out, runs=args.runs)
     for path in written:
         print(path)
     return 0
@@ -145,7 +160,14 @@ def cmd_report(args):
             payload = json.loads(pathlib.Path(path).read_text())
         except (OSError, json.JSONDecodeError) as exc:
             raise InvalidConfigError(f"cannot read summary {path}: {exc}") from exc
-        for name, value in payload.get("metrics", {}).items():
+        metrics = payload.get("metrics", {}) if isinstance(payload, dict) else None
+        if not isinstance(metrics, dict):
+            raise InvalidConfigError(f"summary {path} has no metrics object")
+        for name, value in metrics.items():
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise InvalidConfigError(
+                    f"summary {path}: metric {name!r} is not a number: {value!r}"
+                )
             rows.setdefault(name, []).append(float(value))
     lines = ["metric,mean,stddev,count"]
     for name in sorted(rows):
@@ -155,8 +177,9 @@ def cmd_report(args):
     out = pathlib.Path(args.out)
     if out.is_dir():
         out = out / "report.csv"
-    out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(text)
+    with _writing(out):
+        out.parent.mkdir(parents=True, exist_ok=True)
+        out.write_text(text)
     print(out)
     return 0
 

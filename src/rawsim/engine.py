@@ -291,7 +291,12 @@ def run(config, topology=None):
     Walk hops wait in a FIFO queue, other events in a heap: every hop is
     due hop_latency after the event being dispatched, whose time never
     decreases, so the queue stays sorted by (time, seq). Every time in the
-    loop is an int number of ticks."""
+    loop is an int number of ticks.
+
+    Hellos are dispatched only until neighbour discovery has settled, at
+    max(phase) + lcm(hello_interval, U): every later hello repeats the one
+    lcm earlier and adds no neighbour. event_counts["hello"] counts the
+    hellos sent up to the horizon, dispatched or not."""
     n = config.n
     duty = config.duty_config()
     adjacency = ()
@@ -336,8 +341,20 @@ def run(config, topology=None):
     hello_interval = to_ticks(config.hello_interval_s)
     advertise_period = to_ticks(config.resolved_advertise_period())
 
+    event_counts = {"hello": 0, "launch": 0, "hop": 0, "visit": 0}
+
+    # From max(phase) on, every node's awake state repeats with period U
+    # and its hellos with period hello_interval. So a hello at t >= settled
+    # meets the same awake pairs as its own hello lcm ticks earlier and
+    # hears only senders already known. Not dispatching these no-op events
+    # keeps the relative seq order of all the others.
     if config.dissemination_enabled and horizon > 0:
         starts = phases.tolist()
+        settled = max(starts) + math.lcm(hello_interval, period)
+        hello_end = min(settled, horizon + 1)
+        event_counts["hello"] = sum(
+            (horizon - s) // hello_interval + 1 for s in starts if s <= horizon
+        )
         for node in range(n):
             if starts[node] <= horizon:
                 schedule(starts[node], EV_HELLO, node)
@@ -364,7 +381,6 @@ def run(config, topology=None):
     depositions = 0
     launch_skips = 0
     hop_events = 0
-    event_counts = {"hello": 0, "launch": 0, "hop": 0, "visit": 0}
 
     def deposit(storage, origin, value, t):
         nonlocal depositions
@@ -394,11 +410,10 @@ def run(config, topology=None):
             break
         t, _, kind, payload = pop(heap)
         if kind == EV_HELLO:
-            event_counts["hello"] += 1
             node = payload
             dissemination.hello_tick(node, t, adjacency[node], awake, tables)
             nxt = t + hello_interval
-            if nxt <= horizon:
+            if nxt < hello_end:
                 push(heap, (nxt, seq, EV_HELLO, node))
                 seq += 1
         elif kind == EV_LAUNCH:

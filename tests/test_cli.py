@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from rawsim.cli import cli
 from rawsim.topology import load_placement
 
@@ -126,3 +128,42 @@ def test_report_aggregates_summaries(tmp_path):
     lines = report.read_text().splitlines()
     assert lines[0] == "metric,mean,stddev,count"
     assert any(line.startswith("coverage,") for line in lines)
+
+
+def test_report_rejects_malformed_summaries(tmp_path, capsys):
+    for name, text in (
+        ("list.json", "[1, 2]"),
+        ("metrics_list.json", '{"metrics": [1]}'),
+        ("null.json", '{"metrics": {"a": null}}'),
+        ("text.json", '{"metrics": {"a": "1.5"}}'),
+        ("bool.json", '{"metrics": {"a": true}}'),
+    ):
+        summary = tmp_path / name
+        summary.write_text(text)
+        assert cli(["report", str(summary), "--out", str(tmp_path / "r.csv")]) == 2, name
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, name
+        assert name in err
+    assert not (tmp_path / "r.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["run", "gen", "sweep", "report", "figures"])
+def test_unwritable_output_path_exits_2(tmp_path, capsys, command):
+    blocker = tmp_path / "file"
+    blocker.write_text("not a directory\n")
+    summary = tmp_path / "summary.json"
+    summary.write_text('{"metrics": {"a": 1}}')
+    tiny = ["--set", "n=5", "--set", "horizon_s=5", "--set", "sink_start_s=1"]
+    args = {
+        "run": ["run", "--out", str(blocker)] + tiny,
+        "gen": ["gen", "--n", "5", "--out", str(blocker / "p.txt")],
+        "sweep": ["sweep", "--param", "n", "--values", "5", "--runs", "1",
+                  "--out", str(blocker / "s.csv")] + tiny,
+        "report": ["report", str(summary), "--out", str(blocker / "r.csv")],
+        "figures": ["figures", "--runs", "1", "--out", str(blocker)],
+    }[command]
+    assert cli(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write ") and err.count("\n") == 1
+    assert str(blocker) in err
+    assert blocker.read_text() == "not a directory\n"

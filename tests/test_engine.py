@@ -133,7 +133,17 @@ def test_run_goes_through_the_protocol_functions(monkeypatch):
     trace = run(quick_config())
     assert calls["hop"] == trace.event_counts["hop"] > 0
     assert calls["pick_next"] == calls["hop"]
-    assert calls["hello_tick"] == trace.event_counts["hello"] > 0
+    # one hello_tick per hello before discovery settles; the count covers
+    # every hello sent up to the horizon
+    phases, settled = settled_discovery(trace.config)
+    h = to_ticks(trace.config.hello_interval_s)
+    horizon = to_ticks(trace.config.horizon_s)
+    assert calls["hello_tick"] == sum(
+        len(range(p, min(settled, horizon + 1), h)) for p in phases
+    ) > 0
+    assert trace.event_counts["hello"] == sum(
+        len(range(p, horizon + 1, h)) for p in phases
+    ) > calls["hello_tick"]
     assert calls["hear"] > 0
 
 
@@ -186,13 +196,54 @@ def test_no_launch_skips_when_advertising_at_multiples_of_the_period():
             assert trace.launch_skips == 0, (variant, multiple)
 
 
+def hello_schedule(phases, hello_interval, horizon):
+    """Every hello sent up to the horizon, as (tick, node) in dispatch
+    order. Equal-tick hellos dispatch in scheduling order: a node's first
+    hello is scheduled before any rescheduled one, so a later phase goes
+    first, then the lower node id."""
+    events = sorted(
+        (t, -phase, node)
+        for node, phase in enumerate(phases)
+        for t in range(phase, horizon + 1, hello_interval)
+    )
+    return [(t, node) for t, _, node in events]
+
+
+def settled_discovery(config):
+    """A config's phases (ticks) and the tick max(phase) + lcm(hello, U)
+    from which no hello adds a neighbour, computed without the engine."""
+    from rawsim.dutycycle import draw_phases
+
+    duty = config.duty_config()
+    drawn = draw_phases(config.n, duty, rng_stream(config.seed, "phases"))
+    phases = to_ticks(drawn).tolist()
+    lcm = math.lcm(to_ticks(config.hello_interval_s), to_ticks(duty.period))
+    return phases, max(phases) + lcm
+
+
+def replay_hellos(config, phases, horizon):
+    """Neighbour tables after hello_tick for every hello up to the horizon,
+    without the engine."""
+    from rawsim import dissemination
+    from rawsim.dutycycle import awake_predicate
+
+    duty = config.duty_config()
+    awake = awake_predicate(phases, to_ticks(duty.period), to_ticks(duty.t_active))
+    adjacency = build_topology(config).neighbors
+    tables = [dissemination.NeighborTable(i) for i in range(config.n)]
+    for t, node in hello_schedule(phases, to_ticks(config.hello_interval_s), horizon):
+        dissemination.hello_tick(node, t, adjacency[node], awake, tables)
+    return tables
+
+
 @pytest.mark.parametrize("t_active_s", [1.0, 0.25])
 def test_one_awake_hello_per_window_when_active_time_is_the_hello_interval(
     monkeypatch, t_active_s
 ):
     from rawsim import dissemination
+    from rawsim.dutycycle import awake_predicate
 
-    sent = []  # (node, time) of every hello sent while awake
+    sent = []  # (node, time) of every hello the engine dispatched while awake
     real = dissemination.hello_tick
 
     def recording(node, now, neighbors, awake, tables):
@@ -204,38 +255,80 @@ def test_one_awake_hello_per_window_when_active_time_is_the_hello_interval(
     for variant in ("normal", "small-timeout", "dense"):
         sent.clear()
         trace = coverage_run(variant, t_active_s=t_active_s, hello_interval_s=t_active_s)
+        phases, settled = settled_discovery(trace.config)
+        h = to_ticks(t_active_s)
         period = to_ticks(trace.config.duty_config().period)
         horizon = to_ticks(trace.config.horizon_s)
-        for node, phase in enumerate(to_ticks(trace.phases).tolist()):
+        assert settled < horizon
+        awake = awake_predicate(phases, period, h)
+        for node, phase in enumerate(phases):
             # U is a multiple of the hello interval, so each active window
             # holds one hello, at its start
             windows = list(range(phase, horizon + 1, period))
-            assert [t for v, t in sent if v == node] == windows, (variant, node)
+            schedule = range(phase, horizon + 1, h)
+            assert [t for t in schedule if awake(node, t)] == windows, (variant, node)
+            # the engine dispatches the same hellos until discovery settles
+            dispatched = [t for v, t in sent if v == node]
+            assert dispatched == [t for t in windows if t < settled], (variant, node)
 
 
-def test_discovery_is_fixed_after_one_common_period(monkeypatch):
+def test_discovery_is_fixed_after_one_common_period():
     # past max(phase) + lcm(hello, U) each hello meets the same awake
-    # neighbors as the hello lcm(hello, U) before it, so it adds no edge
+    # neighbors as the hello lcm(hello, U) before it, so it adds no edge;
+    # the engine relies on this to stop dispatching hellos there
+    for variant in ("normal", "small-timeout", "dense"):
+        config = coverage_config(variant, seed=42).with_updates(n=30, horizon_s=300.0)
+        phases, settled = settled_discovery(config)
+        horizon = to_ticks(config.horizon_s)
+        assert settled < horizon
+        before = [t.known for t in replay_hellos(config, phases, settled - 1)]
+        final = [t.known for t in replay_hellos(config, phases, horizon)]
+        assert before == final, variant
+        assert sum(map(len, final)) > 0
+
+
+@pytest.mark.parametrize(
+    "variant, updates, horizon_vs_settled",
+    [
+        ("normal", {}, None),
+        ("small-timeout", {}, None),
+        ("all-active", {}, None),          # all phases 0: every hello ties
+        ("dense", {}, None),
+        ("normal", {"hello_interval_s": 0.7}, None),   # lcm(h, U) = 70 s
+        ("normal", {"hello_interval_s": 0.77}, None),  # lcm 770 s: no cutoff
+        ("normal", {}, -1),
+        ("normal", {}, 0),
+    ],
+)
+def test_engine_neighbour_tables_equal_a_replay_of_every_hello(
+    monkeypatch, variant, updates, horizon_vs_settled
+):
+    # the engine stops dispatching hellos once discovery has settled; its
+    # final tables must equal hello_tick replayed over every hello sent
     from rawsim import dissemination
 
-    known = []  # (time, discovered directed edges) after each hello
-    real = dissemination.hello_tick
+    short = {"n": 30, "horizon_s": 120.0, "sink_start_s": 20.0}
+    config = coverage_config(variant, seed=42).with_updates(**short, **updates)
+    phases, settled = settled_discovery(config)
+    if horizon_vs_settled is not None:
+        config = config.with_updates(horizon_s=(settled + horizon_vs_settled) / S)
+        assert to_ticks(config.horizon_s) == settled + horizon_vs_settled
+    horizon = to_ticks(config.horizon_s)
 
-    def recording(node, now, neighbors, awake, tables):
-        real(node, now, neighbors, awake, tables)
-        known.append((now, sum(len(table.known) for table in tables)))
+    made = []
 
-    monkeypatch.setattr(dissemination, "hello_tick", recording)
-    for variant in ("normal", "small-timeout", "dense"):
-        known.clear()
-        trace = coverage_run(variant, horizon_s=300.0)
-        config = trace.config
-        settled = to_ticks(trace.phases).max() + math.lcm(
-            to_ticks(config.hello_interval_s), to_ticks(config.duty_config().period)
-        )
-        assert settled < to_ticks(config.horizon_s)
-        before = [edges for t, edges in known if t < settled]
-        assert before[-1] == known[-1][1] > 0, variant
+    class RecordedTable(dissemination.NeighborTable):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            made.append(self)
+
+    monkeypatch.setattr(dissemination, "NeighborTable", RecordedTable)
+    trace = run(config)
+    engine_known = [t.known for t in made]
+    assert to_ticks(trace.phases).tolist() == phases
+    replayed = [t.known for t in replay_hellos(config, phases, horizon)]
+    assert engine_known == replayed
+    assert sum(map(len, replayed)) > 0
 
 
 def test_run_without_hellos_builds_no_topology(monkeypatch):
