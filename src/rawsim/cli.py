@@ -29,9 +29,13 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--seed", type=int, default=None, help="base RNG seed")
+    def out(p):
         p.add_argument("--out", default=".", help="output file or directory")
+
+    def common(p):
+        """The flags of a subcommand that builds its config from them."""
+        p.add_argument("--seed", type=int, default=None, help="base RNG seed")
+        out(p)
         p.add_argument("--config", default=None, help="key = value config file")
         p.add_argument(
             "--set",
@@ -44,9 +48,6 @@ def build_parser():
 
     p_gen = sub.add_parser("gen", help="generate a placement file")
     common(p_gen)
-    p_gen.add_argument("--n", type=int, default=None)
-    p_gen.add_argument("--width", type=float, default=None)
-    p_gen.add_argument("--height", type=float, default=None)
 
     p_run = sub.add_parser("run", help="run one simulation")
     common(p_run)
@@ -61,11 +62,12 @@ def build_parser():
     p_sweep.add_argument("--runs", type=int, default=None)
 
     p_fig = sub.add_parser("figures", help="emit every experiment CSV")
-    common(p_fig)
+    p_fig.add_argument("--seed", type=int, default=42, help="base RNG seed")
+    out(p_fig)
     p_fig.add_argument("--runs", type=int, default=15)
 
     p_rep = sub.add_parser("report", help="aggregate run summary JSONs")
-    common(p_rep)
+    out(p_rep)
     p_rep.add_argument("inputs", nargs="+", help="summary.json files")
 
     return parser
@@ -100,15 +102,12 @@ def _writing(path):
 
 def cmd_gen(args):
     config = _load_base_config(args)
-    n = args.n if args.n is not None else config.n
-    width = args.width if args.width is not None else config.width
-    height = args.height if args.height is not None else config.height
     positions = topology.place_uniform(
-        n, width, height, rng_stream(config.seed, "placement")
+        config.n, config.width, config.height, rng_stream(config.seed, "placement")
     )
     out = pathlib.Path(args.out)
     if out.is_dir():
-        out = out / f"placement_n{n}.txt"
+        out = out / f"placement_n{config.n}.txt"
     with _writing(out):
         out.parent.mkdir(parents=True, exist_ok=True)
         out.write_text(topology.save_placement(positions))
@@ -145,9 +144,8 @@ def cmd_sweep(args):
 
 
 def cmd_figures(args):
-    seed = args.seed if args.seed is not None else 42
     with _writing(args.out):  # all_figures reads no file
-        written = all_figures(seed=seed, out_dir=args.out, runs=args.runs)
+        written = all_figures(seed=args.seed, out_dir=args.out, runs=args.runs)
     for path in written:
         print(path)
     return 0

@@ -29,14 +29,13 @@ def parse_config_text(text):
     return values
 
 
-def load_config(path, overrides=None):
+def load_config(path, overrides):
     try:
         with open(path) as fh:
             text = fh.read()
     except OSError as exc:
         raise InvalidConfigError(f"cannot read config {path}: {exc}") from exc
     values = parse_config_text(text)
-    if overrides:
-        values.update(overrides)
+    values.update(overrides)
     return SimConfig.from_mapping(values)
 

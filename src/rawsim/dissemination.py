@@ -32,7 +32,7 @@ class TimeoutBased:
             raise InvalidConfigError(f"view timeout must be > 0, got {self.tau}")
 
 
-def parse_view_policy(text, n=None):
+def parse_view_policy(text, n):
     """Parse "size:K" or "timeout:TAU"; "size:sqrt" means ceil(sqrt(n))."""
     kind, _, value = text.partition(":")
     kind = kind.strip().lower()
@@ -40,8 +40,6 @@ def parse_view_policy(text, n=None):
     if kind not in ("size", "timeout"):
         raise InvalidConfigError(f"unknown view policy {text!r}")
     if kind == "size" and value == "sqrt":
-        if n is None:
-            raise InvalidConfigError("size:sqrt needs the node count")
         return SizeBased(math.ceil(math.sqrt(n)))
     try:
         bound = int(value) if kind == "size" else float(value)
@@ -108,7 +106,6 @@ class NeighborTable:
 class RWMessage:
     origin: int
     ttl: int
-    launch_time: float
     data_value: int
     current: int
 
@@ -166,11 +163,6 @@ def resolve_rw_length(spec, n):
     if value < 0:
         raise InvalidConfigError(f"rw_length must be >= 0, got {value}")
     return value
-
-
-def expected_intersection(n, k):
-    """Mean pairwise overlap of ideal uniform views of size k: k*k/n."""
-    return k * k / n
 
 
 def mean_ideal_intersection(n, k, pairs, rng):

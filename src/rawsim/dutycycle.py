@@ -8,7 +8,6 @@ A run keeps time in integer ticks of TICK_S seconds; to_ticks is the one
 place where seconds become ticks.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,28 +42,15 @@ class DutyCycleConfig:
     def period(self):
         return self.t_active + self.t_sleep
 
-    @property
-    def delta(self):
-        return delta(self.t_active, self.t_sleep)
 
-
-def delta(t_active, t_sleep):
-    """Sleep fraction t_sleep / (t_active + t_sleep)."""
-    if t_active <= 0:
-        raise InvalidConfigError(f"t_active must be > 0, got {t_active}")
-    if t_sleep < 0:
-        raise InvalidConfigError(f"t_sleep must be >= 0, got {t_sleep}")
-    return t_sleep / (t_active + t_sleep)
-
-
-def config_for_delta(sleep_fraction, period, **kwargs):
+def config_for_delta(sleep_fraction, period):
     """DutyCycleConfig with the given sleep fraction at a fixed period."""
     if not 0.0 <= sleep_fraction < 1.0:
         raise InvalidConfigError(
             f"sleep fraction must be in [0, 1), got {sleep_fraction}"
         )
     t_sleep = sleep_fraction * period
-    return DutyCycleConfig(t_active=period - t_sleep, t_sleep=t_sleep, **kwargs)
+    return DutyCycleConfig(t_active=period - t_sleep, t_sleep=t_sleep)
 
 
 def draw_phases(n, config, rng):
@@ -97,24 +83,3 @@ def awake_predicate(phases, period, t_active):
         return dt >= 0 and dt % period < t_active
 
     return awake
-
-
-def expected_active(n, sleep_fraction):
-    """Expected number of simultaneously active nodes, (1 - delta) * n."""
-    if not 0.0 <= sleep_fraction <= 1.0:
-        raise InvalidConfigError(
-            f"sleep fraction must be in [0, 1], got {sleep_fraction}"
-        )
-    return (1.0 - sleep_fraction) * n
-
-
-def delta_for_target(n, target_active):
-    """Largest sleep fraction that keeps target_active nodes awake on average."""
-    if target_active <= 0:
-        raise InvalidConfigError(
-            f"target_active must be positive, got {target_active}"
-        )
-    if target_active > n:
-        raise InvalidConfigError(f"target_active {target_active} exceeds n={n}")
-    value = 1.0 - target_active / n
-    return min(max(value, 0.0), math.nextafter(1.0, 0.0))

@@ -30,8 +30,6 @@ EV_HELLO = 0
 EV_LAUNCH = 1
 EV_VISIT = 2
 
-STREAM_LABELS = ("placement", "phases", "walks", "sink")
-
 
 def rng_stream(seed, label):
     """Independent Philox stream for one purpose within one run."""
@@ -181,20 +179,15 @@ class RunTrace:
     dropped_in_flight: int
     phases: np.ndarray = field(repr=False, default=None)
 
-    def time_avg_active(self, after=None):
+    def time_avg_active(self):
         """Mean sampled active count once all initial timers have expired."""
-        if after is None:
-            after = self.config.duty_config().timeout_max
-        mask = self.times >= after
+        mask = self.times >= self.config.duty_config().timeout_max
         if not mask.any():
             mask = self.times >= self.times.max()
         return float(self.active_counts[mask].mean())
 
     def mean_view_sizes(self):
         return self.view_sizes.mean(axis=1)
-
-    def coverage_curve(self):
-        return sink.coverage_curve(self.sink_report) if self.sink_report else []
 
     def summary(self):
         metrics = {
@@ -254,8 +247,7 @@ def reads_topology(config):
     return config.dissemination_enabled or config.require_connected
 
 
-def build_topology(config, placement_seed=None):
-    seed = config.seed if placement_seed is None else placement_seed
+def build_topology(config):
     if config.placement_file:
         try:
             with open(config.placement_file) as fh:
@@ -271,7 +263,7 @@ def build_topology(config, placement_seed=None):
                 f"nodes but n is {config.n}; set n={positions.shape[0]}"
             )
     else:
-        rng = rng_stream(seed, "placement")
+        rng = rng_stream(config.seed, "placement")
         positions = topo.place_uniform(config.n, config.width, config.height, rng)
     return topo.build_adjacency(positions, config.radio_range)
 
@@ -425,7 +417,7 @@ def run(config, topology=None):
                 if rw_length == 0:
                     deposit(node, node, readings[node], t)
                 else:
-                    msg = RWMessage(node, rw_length, t, readings[node], node)
+                    msg = RWMessage(node, rw_length, readings[node], node)
                     nxt = t + hop_latency
                     if nxt <= horizon:
                         push_hop((nxt, seq, msg))
@@ -494,9 +486,6 @@ def _view_size_series(size_log, times, n):
 
 @dataclass
 class ReplicateResult:
-    config: SimConfig
-    runs: int
-    traces: list
     metrics: dict                     # name -> (mean, stddev)
     coverage_matrix: np.ndarray       # (runs, visits) or None
 
@@ -510,7 +499,7 @@ class ReplicateResult:
         return self.coverage_matrix.std(axis=0)
 
 
-def replicate(config, runs=None, keep_traces=True):
+def replicate(config, runs=None):
     """Independent executions with seeds seed, seed+1, ...; aggregates every
     scalar metric. With fixed_topology the placement of the base seed is
     shared; otherwise each run redraws its own."""
@@ -522,9 +511,8 @@ def replicate(config, runs=None, keep_traces=True):
     shared = None
     if config.fixed_topology and reads_topology(config):
         shared = build_topology(config)
-    # each trace is read as soon as it ends, so that without keep_traces
-    # only one run's arrays are alive at a time
-    traces = []
+    # each trace is read as soon as it ends and then dropped, so only one
+    # run's arrays are alive at a time
     scalars = {}
     coverage = []
     for i in range(runs):
@@ -534,17 +522,12 @@ def replicate(config, runs=None, keep_traces=True):
             scalars.setdefault(name, []).append(float(value))
         if trace.sink_report is not None:
             coverage.append(sink.coverage_fractions(trace.sink_report))
-        if keep_traces:
-            traces.append(trace)
     metrics = {
         name: (float(np.mean(vals)), float(np.std(vals)))
         for name, vals in scalars.items()
     }
 
     return ReplicateResult(
-        config=config,
-        runs=runs,
-        traces=traces,
         metrics=metrics,
         coverage_matrix=np.array(coverage) if coverage else None,
     )

@@ -87,7 +87,7 @@ def exp_active_vs_delta(n, deltas=DELTA_GRID, runs=15, seed=0):
     base = active_sweep_config(n, seed=seed, runs=runs)
     rows = []
     for frac in deltas:
-        result = replicate(apply_param(base, "delta", frac), runs, keep_traces=False)
+        result = replicate(apply_param(base, "delta", frac), runs)
         mean, std = result.metric("time_avg_active")
         rows.append((float(frac), mean, std, n, runs))
     return FigureDataset(
@@ -95,14 +95,6 @@ def exp_active_vs_delta(n, deltas=DELTA_GRID, runs=15, seed=0):
         columns=("delta", "mean_active", "stddev_active", "n", "runs"),
         rows=tuple(rows),
     )
-
-
-def exp_delta_for_sqrt_n(ns, deltas=DELTA_GRID, runs=15, seed=0):
-    """Largest grid sleep fraction keeping at least sqrt(n) nodes awake."""
-    for n in ns:
-        if n < 4:
-            raise InvalidConfigError(f"network size must be >= 4, got {n}")
-    return delta_for_sqrt_n([exp_active_vs_delta(n, deltas, runs, seed) for n in ns])
 
 
 def delta_for_sqrt_n(sweeps):
@@ -158,7 +150,7 @@ def coverage_config(variant, seed=0, runs=15):
 def exp_coverage(variant, runs=15, seed=0):
     """Coverage curve (mean and stddev per visit index) for one variant."""
     config = coverage_config(variant, seed=seed, runs=runs)
-    result = replicate(config, runs, keep_traces=False)
+    result = replicate(config, runs)
     mean = result.coverage_mean()
     std = result.coverage_std()
     n = config.n
@@ -201,7 +193,7 @@ def run_sweep(name, base, param, values, runs=None):
     rows = []
     names = None
     for value, config in zip(values, configs):
-        result = replicate(config, runs, keep_traces=False)
+        result = replicate(config, runs)
         if names is None:
             names = sorted(result.metrics)
         row = [value]

@@ -77,10 +77,5 @@ def predicted_coverage(i, n):
     return min(float(n), i * (math.sqrt(n) - 1.0))
 
 
-def coverage_curve(report):
-    """(visit index, cumulative distinct origins) per visit; monotone."""
-    return [(v.index, v.cumulative_origins) for v in report.visits]
-
-
 def coverage_fractions(report):
     return np.array([v.cumulative_origins / report.n for v in report.visits])

@@ -18,14 +18,6 @@ DEFAULT_RADIO_RANGE = 250.0
 
 
 @dataclass(frozen=True)
-class DegreeStats:
-    min: int
-    mean: float
-    max: int
-    connected: bool
-
-
-@dataclass(frozen=True)
 class Topology:
     """Immutable after construction; safe to share across replications."""
 
@@ -99,17 +91,6 @@ def save_placement(positions):
         for i, (x, y) in enumerate(np.asarray(positions))
     ]
     return "\n".join(lines) + "\n"
-
-
-def degree_stats(topology):
-    """Exact degree statistics plus connectivity via BFS."""
-    degrees = [len(nb) for nb in topology.neighbors]
-    return DegreeStats(
-        min=min(degrees),
-        mean=sum(degrees) / topology.n,
-        max=max(degrees),
-        connected=is_connected(topology),
-    )
 
 
 def is_connected(topology):

@@ -29,12 +29,12 @@ def report(number, ok, text):
 
 def timed_replicate(config, runs):
     start = time.perf_counter()
-    result = replicate(config, runs, keep_traces=True)
+    result = replicate(config, runs)
     return result, time.perf_counter() - start
 
 
 @pytest.fixture(scope="module")
-def coverage_curves():
+def variant_curves():
     """Mean/stddev coverage per visit index for the three ordered variants."""
     curves = {}
     for variant in ("all-active", "small-timeout", "normal"):
@@ -99,7 +99,7 @@ def test_criterion_5_walk_terminal_uniform_on_k10():
     counts = np.zeros(n, dtype=int)
     for w in range(walks):
         start = w % n
-        msg = RWMessage(start, length, 0.0, 1, start)
+        msg = RWMessage(start, length, 1, start)
         while not hop(msg, known[msg.current], lambda _v, _t: True, 0.0,
                       rng.random()):
             pass
@@ -109,8 +109,8 @@ def test_criterion_5_walk_terminal_uniform_on_k10():
     report(5, ok, f"chi-square p={pvalue:.3f} > 0.01 for 10^4 walk terminals on K10")
 
 
-def test_criterion_6_all_active_coverage(coverage_curves):
-    curve = coverage_curves["all-active"]
+def test_criterion_6_all_active_coverage(variant_curves):
+    curve = variant_curves["all-active"]
     mean, std, elapsed = curve["mean"], curve["std"], curve["elapsed"]
     n_runs = curve["runs"]
     floor_hit = bool((mean[:10] >= 0.6).any())
@@ -124,10 +124,10 @@ def test_criterion_6_all_active_coverage(coverage_curves):
                   f"curve={[float(round(v, 2)) for v in mean]}")
 
 
-def test_criterion_7_coverage_ordering(coverage_curves):
-    a = coverage_curves["all-active"]["mean"][:10]
-    s = coverage_curves["small-timeout"]["mean"][:10]
-    m = coverage_curves["normal"]["mean"][:10]
+def test_criterion_7_coverage_ordering(variant_curves):
+    a = variant_curves["all-active"]["mean"][:10]
+    s = variant_curves["small-timeout"]["mean"][:10]
+    m = variant_curves["normal"]["mean"][:10]
     ok = bool((a >= s).all() and (s >= m).all())
     report(7, ok, "mean coverage ordering all-active >= small-timeout >= normal "
                   f"pointwise over visits 1-10: "

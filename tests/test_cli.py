@@ -1,14 +1,19 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
-from rawsim.cli import cli
+import rawsim
+from rawsim.cli import COMMANDS, cli
 from rawsim.topology import load_placement
 
 
 def test_gen_writes_loadable_placement(tmp_path):
     out = tmp_path / "placement.txt"
-    assert cli(["gen", "--n", "25", "--seed", "3", "--out", str(out)]) == 0
+    assert cli(["gen", "--set", "n=25", "--seed", "3", "--out", str(out)]) == 0
     positions = load_placement(out.read_text())
     assert positions.shape == (25, 2)
 
@@ -72,7 +77,7 @@ def test_malformed_values_exit_2(tmp_path, capsys):
 
 def test_placement_file_must_match_n(tmp_path, capsys):
     placement = tmp_path / "p25.txt"
-    assert cli(["gen", "--n", "25", "--seed", "3", "--out", str(placement)]) == 0
+    assert cli(["gen", "--set", "n=25", "--seed", "3", "--out", str(placement)]) == 0
     capsys.readouterr()
     out = tmp_path / "r"
     base = ["run", "--set", f"placement_file={placement}", "--set", "horizon_s=30",
@@ -99,6 +104,44 @@ def test_unknown_flag_exits_2():
 
 def test_unknown_subcommand_exits_2():
     assert cli(["wat"]) == 2
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["report", "--set", "n=abc", "s.json"],
+        ["report", "--seed", "9", "s.json"],
+        ["figures", "--config", "sim.cfg"],
+        ["figures", "--set", "n=12"],
+        ["gen", "--n", "25"],
+    ],
+    ids=lambda args: " ".join(args[:2]),
+)
+def test_flag_the_subcommand_does_not_read_exits_2(monkeypatch, capsys, args):
+    # argparse must reject the flag before the subcommand starts
+    monkeypatch.setitem(COMMANDS, args[0], lambda _args: 0)
+    assert cli(args) == 2
+    assert "unrecognized arguments: " + args[1] in capsys.readouterr().err
+
+
+def test_runs_without_scipy(tmp_path):
+    # scipy is a test dependency only; rawsim imports and runs without it
+    code = (
+        "import sys\n"
+        "sys.modules['scipy'] = None\n"
+        "from rawsim.cli import cli\n"
+        "sys.exit(cli(sys.argv[1:]))\n"
+    )
+    src = pathlib.Path(rawsim.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = tmp_path / "r"
+    proc = subprocess.run(
+        [sys.executable, "-c", code, "run", "--set", "n=12", "--set", "horizon_s=20",
+         "--set", "sink_start_s=10", "--set", "sink_gap_s=1", "--out", str(out)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads((out / "summary.json").read_text())["config"]["n"] == 12
 
 
 def test_sweep_deterministic(tmp_path):
@@ -156,7 +199,7 @@ def test_unwritable_output_path_exits_2(tmp_path, capsys, command):
     tiny = ["--set", "n=5", "--set", "horizon_s=5", "--set", "sink_start_s=1"]
     args = {
         "run": ["run", "--out", str(blocker)] + tiny,
-        "gen": ["gen", "--n", "5", "--out", str(blocker / "p.txt")],
+        "gen": ["gen", "--set", "n=5", "--out", str(blocker / "p.txt")],
         "sweep": ["sweep", "--param", "n", "--values", "5", "--runs", "1",
                   "--out", str(blocker / "s.csv")] + tiny,
         "report": ["report", str(summary), "--out", str(blocker / "r.csv")],

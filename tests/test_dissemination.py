@@ -11,7 +11,6 @@ from rawsim.dissemination import (
     TimeoutBased,
     View,
     ViewEntry,
-    expected_intersection,
     hello_tick,
     hop,
     mean_ideal_intersection,
@@ -33,16 +32,16 @@ def always_sleep(_node, _t):
 
 
 def test_parse_view_policy():
-    assert parse_view_policy("size:7") == SizeBased(7)
-    assert parse_view_policy("timeout:30") == TimeoutBased(30.0)
+    assert parse_view_policy("size:7", n=100) == SizeBased(7)
+    assert parse_view_policy("timeout:30", n=100) == TimeoutBased(30.0)
     assert parse_view_policy("size:sqrt", n=100) == SizeBased(10)
     assert parse_view_policy("size:sqrt", n=90) == SizeBased(10)  # ceil
     with pytest.raises(InvalidConfigError):
-        parse_view_policy("lru:3")
+        parse_view_policy("lru:3", n=100)
     with pytest.raises(InvalidConfigError):
-        parse_view_policy("size:0")
+        parse_view_policy("size:0", n=100)
     with pytest.raises(InvalidConfigError):
-        parse_view_policy("timeout:0")
+        parse_view_policy("timeout:0", n=100)
 
 
 def test_resolve_rw_length():
@@ -77,7 +76,7 @@ def test_pick_next_timeout_neighbor_stalls():
 
 
 def test_hop_single_step_terminates_at_neighbor():
-    msg = RWMessage(origin=0, ttl=1, launch_time=0.0, data_value=1, current=0)
+    msg = RWMessage(origin=0, ttl=1, data_value=1, current=0)
     done = hop(msg, [5], always_active, 0.0, 0.0)
     assert done
     assert msg.current == 5
@@ -86,7 +85,7 @@ def test_hop_single_step_terminates_at_neighbor():
 
 def test_hop_all_sleep_terminates_at_origin():
     # 3-node oracle: every pick stalls, ttl still drains one per step
-    msg = RWMessage(origin=0, ttl=5, launch_time=0.0, data_value=1, current=0)
+    msg = RWMessage(origin=0, ttl=5, data_value=1, current=0)
     steps = 0
     while not hop(msg, [1, 2], always_sleep, 0.0, 0.5):
         steps += 1
@@ -96,7 +95,7 @@ def test_hop_all_sleep_terminates_at_origin():
 
 
 def test_hop_ttl_strictly_decreasing():
-    msg = RWMessage(origin=0, ttl=10, launch_time=0.0, data_value=1, current=0)
+    msg = RWMessage(origin=0, ttl=10, data_value=1, current=0)
     seen = []
     done = False
     while not done:
@@ -108,7 +107,7 @@ def test_hop_ttl_strictly_decreasing():
 def test_hop_moves_only_to_listed_neighbors():
     rng = rng_stream(3, "walks")
     known = {0: [1, 2], 1: [0], 2: [0, 1]}
-    msg = RWMessage(origin=0, ttl=30, launch_time=0.0, data_value=1, current=0)
+    msg = RWMessage(origin=0, ttl=30, data_value=1, current=0)
     done = False
     while not done:
         before = msg.current
@@ -126,7 +125,7 @@ def test_terminal_uniform_on_complete_graph():
     counts = np.zeros(n, dtype=int)
     for w in range(walks):
         start = w % n
-        msg = RWMessage(origin=start, ttl=length, launch_time=0.0, data_value=1, current=start)
+        msg = RWMessage(origin=start, ttl=length, data_value=1, current=start)
         while not hop(msg, known[msg.current], always_active, 0.0, rng.random()):
             pass
         counts[msg.current] += 1
@@ -212,9 +211,8 @@ def test_neighbor_table_no_duplicate_known_entries():
 
 def test_ideal_view_intersection_matches_formula():
     n, k = 100, 10
-    assert expected_intersection(n, k) == pytest.approx(1.0)
     measured = mean_ideal_intersection(n, k, 2000, rng_stream(5, "oracle"))
-    assert abs(measured - 1.0) <= 0.2  # within 20% relative error
+    assert abs(measured - k * k / n) <= 0.2  # within 20% of k^2/n = 1
 
 
 @settings(max_examples=100, deadline=None)

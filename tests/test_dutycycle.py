@@ -10,10 +10,7 @@ from rawsim.dutycycle import (
     DutyCycleConfig,
     awake_predicate,
     config_for_delta,
-    delta,
-    delta_for_target,
     draw_phases,
-    expected_active,
     to_ticks,
 )
 from rawsim.engine import rng_stream
@@ -23,23 +20,18 @@ from rawsim.kernels import active_counts
 S = 1_000_000  # ticks per second
 
 
-def test_delta_values():
-    assert delta(1, 9) == 0.9
-    assert delta(5, 0) == 0.0
-    assert delta(2, 2) == 0.5
-
-
 def test_delta_rejects_bad_inputs():
+    # the sleep fraction t_sleep / (t_active + t_sleep) needs both in range
     with pytest.raises(InvalidConfigError):
-        delta(0, 5)
+        DutyCycleConfig(t_active=0, t_sleep=5)
     with pytest.raises(InvalidConfigError):
-        delta(1, -1)
+        DutyCycleConfig(t_active=1, t_sleep=-1)
 
 
 def test_config_invariants():
     cfg = DutyCycleConfig(t_active=1.0, t_sleep=9.0)
     assert cfg.period == 10.0
-    assert cfg.delta == 0.9
+    assert cfg.t_sleep / cfg.period == 0.9
     assert cfg.timeout_max == 10.0  # defaults to the period
     with pytest.raises(InvalidConfigError):
         DutyCycleConfig(t_active=0.0, t_sleep=1.0)
@@ -115,21 +107,6 @@ def test_long_run_active_fraction_exact_over_whole_periods():
     assert frac == t_active / period
 
 
-def test_expected_active_values():
-    assert expected_active(100, 0.9) == pytest.approx(10.0)
-    assert expected_active(400, 0.9) == pytest.approx(40.0)
-    assert expected_active(123, 0.0) == 123.0
-
-
-def test_delta_for_target_values():
-    assert delta_for_target(100, 10) == pytest.approx(0.9)
-    assert delta_for_target(50, 50) == 0.0
-    assert delta_for_target(300, math.ceil(math.sqrt(300))) == pytest.approx(0.94)
-    with pytest.raises(InvalidConfigError):
-        delta_for_target(10, 0)
-    assert delta_for_target(10, 10) == 0.0
-
-
 def test_population_matches_expectation_over_replications():
     # time-averaged active count over one period after all phases expire
     n = 100
@@ -142,7 +119,7 @@ def test_population_matches_expectation_over_replications():
         counts = active_counts(phases, to_ticks(cfg.period), to_ticks(cfg.t_active), times)
         averages.append(counts.mean())
     sigma = math.sqrt(n * frac * (1 - frac))
-    assert abs(np.mean(averages) - expected_active(n, frac)) <= 3 * sigma
+    assert abs(np.mean(averages) - (1 - frac) * n) <= 3 * sigma
 
 
 def test_active_counts_matches_awake_predicate():

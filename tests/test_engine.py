@@ -378,34 +378,52 @@ def test_replicate_single_run_zero_stddev():
 
 def test_replicate_deterministic_aggregates():
     cfg = quick_config()
-    r1 = replicate(cfg, runs=3, keep_traces=False)
-    r2 = replicate(cfg, runs=3, keep_traces=False)
+    r1 = replicate(cfg, runs=3)
+    r2 = replicate(cfg, runs=3)
     assert r1.metrics == r2.metrics
     assert (r1.coverage_matrix == r2.coverage_matrix).all()
 
 
-def test_replicate_uses_consecutive_seeds():
+def recorded_runs(monkeypatch):
+    """The traces of every engine.run that replicate makes from now on."""
+    from rawsim import engine
+
+    traces = []
+    one_run = engine.run
+
+    def recording_run(config, topology=None):
+        traces.append(one_run(config, topology=topology))
+        return traces[-1]
+
+    monkeypatch.setattr(engine, "run", recording_run)
+    return traces
+
+
+def test_replicate_uses_consecutive_seeds(monkeypatch):
     cfg = quick_config()
-    result = replicate(cfg, runs=3)
-    assert [t.seed for t in result.traces] == [5, 6, 7]
+    traces = recorded_runs(monkeypatch)
+    replicate(cfg, runs=3)
+    assert [t.seed for t in traces] == [5, 6, 7]
     solo = run(cfg.with_updates(seed=6))
-    assert solo.summary() == result.traces[1].summary()
+    assert solo.summary() == traces[1].summary()
 
 
-def test_fixed_topology_shares_placement():
+def test_fixed_topology_shares_placement(monkeypatch):
     cfg = quick_config(fixed_topology=True, sink_enabled=False,
                        dissemination_enabled=False)
-    result = replicate(cfg, runs=2)
+    traces = recorded_runs(monkeypatch)
+    replicate(cfg, runs=2)
     # same placement means identical adjacency-driven metrics across seeds
     base = build_topology(cfg)
-    for trace in result.traces:
+    assert len(traces) == 2
+    for trace in traces:
         assert trace.config.fixed_topology
-    redrawn = replicate(cfg.with_updates(fixed_topology=False), runs=2)
+    replicate(cfg.with_updates(fixed_topology=False), runs=2)
     assert (
         build_topology(cfg.with_updates(seed=5)).positions
         == base.positions
     ).all()
-    assert redrawn.runs == 2
+    assert len(traces) == 4
 
 
 @pytest.mark.parametrize("disseminate", [False, True])
@@ -454,8 +472,8 @@ def test_replicate_without_traces_keeps_one_run_alive(monkeypatch):
 
     monkeypatch.setattr(engine, "run", recording_run)
     cfg = quick_config(sink_enabled=False, dissemination_enabled=False)
-    result = replicate(cfg, runs=3, keep_traces=False)
-    assert result.traces == [] and len(alive) == 3
+    replicate(cfg, runs=3)
+    assert len(alive) == 3
     assert max(alive) <= 1  # the previous run's trace, until it is replaced
 
 

@@ -9,9 +9,9 @@ from rawsim.experiments import (
     active_sweep_config,
     apply_param,
     coverage_config,
+    delta_for_sqrt_n,
     exp_active_vs_delta,
     exp_coverage,
-    exp_delta_for_sqrt_n,
     run_sweep,
 )
 
@@ -25,7 +25,7 @@ def test_apply_param_delta_keeps_period():
     swept = apply_param(cfg, "delta", 0.3)
     duty = swept.duty_config()
     assert duty.period == pytest.approx(10.0)
-    assert duty.delta == pytest.approx(0.3)
+    assert duty.t_sleep / duty.period == pytest.approx(0.3)
     period = cfg.duty_config().period
     for frac in DELTA_GRID:
         swept = apply_param(cfg, "delta", frac)
@@ -66,25 +66,24 @@ def test_exp_active_vs_delta_rows_and_expectation():
     assert dataset.rows[0][1] == 25.0
 
 
-def test_exp_delta_for_sqrt_n_frozen_values():
-    dataset = exp_delta_for_sqrt_n((4, 100), runs=5, seed=3)
+def test_delta_for_sqrt_n_frozen_values():
+    dataset = delta_for_sqrt_n([exp_active_vs_delta(n, runs=5, seed=3) for n in (4, 100)])
     by_n = {row[0]: row for row in dataset.rows}
     # (1 - delta) * 4 >= 2 requires delta <= 0.5; measured at seed 3 hits it
     assert by_n[4][1] == 0.5
     # measured counterpart of the n=100 -> 0.9 protocol point
     assert by_n[100][1] == 0.9
-    with pytest.raises(InvalidConfigError):
-        exp_delta_for_sqrt_n((3,), runs=2, seed=0)
 
 
 def test_coverage_config_variants():
     normal = coverage_config("normal")
-    assert normal.duty_config().delta == pytest.approx(0.9)
+    duty = normal.duty_config()
+    assert duty.t_sleep / duty.period == pytest.approx(0.9)
     assert normal.horizon_s == 1000.0
     small = coverage_config("small-timeout")
     assert (small.timeout_min_s, small.timeout_max_s) == (1.0, 2.0)
     allactive = coverage_config("all-active")
-    assert allactive.duty_config().delta == 0.0
+    assert allactive.duty_config().t_sleep == 0.0
     assert allactive.timeout_max_s == 0.0
     dense = coverage_config("dense")
     assert dense.width == dense.height == 550.0

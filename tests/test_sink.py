@@ -7,7 +7,6 @@ from rawsim.errors import InvalidConfigError
 from rawsim.sink import (
     SinkReport,
     collect_origins,
-    coverage_curve,
     plan_random_visits,
     predicted_coverage,
 )
@@ -80,10 +79,6 @@ def test_predicted_coverage():
         predicted_coverage(-1, 100)
 
 
-def test_coverage_curve_empty_without_visits():
-    assert coverage_curve(SinkReport(n=10)) == []
-
-
 def test_coverage_monotone_and_bounded():
     report = SinkReport(n=20)
     rng = rng_stream(6, "sink")
@@ -95,5 +90,5 @@ def test_coverage_monotone_and_bounded():
         assert len(report.known_origins) >= last
         assert len(report.known_origins) <= 20
         last = len(report.known_origins)
-    curve = coverage_curve(report)
-    assert all(b[1] >= a[1] for a, b in zip(curve, curve[1:]))
+    curve = [v.cumulative_origins for v in report.visits]
+    assert all(b >= a for a, b in zip(curve, curve[1:]))

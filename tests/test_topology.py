@@ -10,7 +10,6 @@ from rawsim.engine import rng_stream
 from rawsim.errors import InvalidConfigError, PlacementParseError
 from rawsim.topology import (
     build_adjacency,
-    degree_stats,
     is_connected,
     load_placement,
     place_uniform,
@@ -123,20 +122,14 @@ def test_load_placement_malformed_line():
         load_placement("0 1.0 2.0\n1 x y\n")
 
 
-def test_degree_stats_complete_graph():
+def test_is_connected_on_complete_and_isolated_graphs():
     pos = np.array([[float(i), 0.0] for i in range(5)])
     top = build_adjacency(pos, 10.0)
-    ds = degree_stats(top)
-    assert ds.min == ds.max == 4
-    assert ds.mean == 4.0
-    assert ds.connected
-
-
-def test_degree_stats_isolated_nodes():
+    assert [len(nb) for nb in top.neighbors] == [4] * 5
+    assert is_connected(top)
     top = build_adjacency(np.array([[0.0, 0.0], [500.0, 500.0]]), 10.0)
-    ds = degree_stats(top)
-    assert ds.min == ds.max == 0
-    assert not ds.connected
+    assert top.neighbors == ((), ())
+    assert not is_connected(top)
 
 
 def test_reference_scenario_is_connected():
@@ -150,5 +143,6 @@ def test_dense_grid_mean_degree_near_44():
     means = []
     for seed in range(5):
         pos = place_uniform(100, 550.0, 550.0, rng_stream(seed, "placement"))
-        means.append(degree_stats(build_adjacency(pos, 260.0)).mean)
+        top = build_adjacency(pos, 260.0)
+        means.append(sum(len(nb) for nb in top.neighbors) / top.n)
     assert 40.0 <= np.mean(means) <= 48.0
