@@ -122,12 +122,19 @@ def test_load_placement_malformed_line():
         load_placement("0 1.0 2.0\n1 x y\n")
 
 
-def test_is_connected_on_complete_and_isolated_graphs():
+def test_degree_stats_complete_graph():
     pos = np.array([[float(i), 0.0] for i in range(5)])
     top = build_adjacency(pos, 10.0)
-    assert [len(nb) for nb in top.neighbors] == [4] * 5
+    degrees = [len(nb) for nb in top.neighbors]
+    assert min(degrees) == max(degrees) == 4
+    assert sum(degrees) / top.n == 4.0
     assert is_connected(top)
+
+
+def test_degree_stats_isolated_nodes():
     top = build_adjacency(np.array([[0.0, 0.0], [500.0, 500.0]]), 10.0)
+    degrees = [len(nb) for nb in top.neighbors]
+    assert min(degrees) == max(degrees) == 0
     assert top.neighbors == ((), ())
     assert not is_connected(top)
 
