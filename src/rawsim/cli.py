@@ -59,7 +59,6 @@ def build_parser():
         "--values", required=True, help="comma-separated swept values"
     )
     p_sweep.add_argument("--name", default=None, help="dataset name")
-    p_sweep.add_argument("--runs", type=int, default=None)
 
     p_fig = sub.add_parser("figures", help="emit every experiment CSV")
     p_fig.add_argument("--seed", type=int, default=42, help="base RNG seed")
@@ -132,7 +131,7 @@ def cmd_sweep(args):
     config = _load_base_config(args)
     values = tuple(v.strip() for v in args.values.split(",") if v.strip())
     name = args.name or f"sweep_{args.param.replace('/', '_')}"
-    dataset = run_sweep(name, config, args.param, values, runs=args.runs)
+    dataset = run_sweep(name, config, args.param, values)
     out = pathlib.Path(args.out)
     if out.is_dir():
         out = out / f"{name}.csv"

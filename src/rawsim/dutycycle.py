@@ -8,8 +8,6 @@ A run keeps time in integer ticks of TICK_S seconds; to_ticks is the one
 place where seconds become ticks.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import InvalidConfigError
@@ -18,44 +16,9 @@ TICKS_PER_S = 1_000_000
 TICK_S = 1 / TICKS_PER_S
 
 
-@dataclass(frozen=True)
-class DutyCycleConfig:
-    t_active: float
-    t_sleep: float
-    timeout_min: float = 0.0
-    timeout_max: float = None  # defaults to the period U
-
-    def __post_init__(self):
-        if self.t_active <= 0:
-            raise InvalidConfigError(f"t_active must be > 0, got {self.t_active}")
-        if self.t_sleep < 0:
-            raise InvalidConfigError(f"t_sleep must be >= 0, got {self.t_sleep}")
-        if self.timeout_max is None:
-            object.__setattr__(self, "timeout_max", self.period)
-        if self.timeout_min < 0 or self.timeout_max < self.timeout_min:
-            raise InvalidConfigError(
-                f"need 0 <= timeout_min <= timeout_max, got "
-                f"[{self.timeout_min}, {self.timeout_max}]"
-            )
-
-    @property
-    def period(self):
-        return self.t_active + self.t_sleep
-
-
-def config_for_delta(sleep_fraction, period):
-    """DutyCycleConfig with the given sleep fraction at a fixed period."""
-    if not 0.0 <= sleep_fraction < 1.0:
-        raise InvalidConfigError(
-            f"sleep fraction must be in [0, 1), got {sleep_fraction}"
-        )
-    t_sleep = sleep_fraction * period
-    return DutyCycleConfig(t_active=period - t_sleep, t_sleep=t_sleep)
-
-
-def draw_phases(n, config, rng):
+def draw_phases(n, timeout_min, timeout_max, rng):
     """Initial timeouts, uniform over [timeout_min, timeout_max]."""
-    return rng.uniform(config.timeout_min, config.timeout_max, size=n)
+    return rng.uniform(timeout_min, timeout_max, size=n)
 
 
 def to_ticks(seconds):

@@ -80,19 +80,20 @@ class SimConfig:
             raise InvalidConfigError(
                 f"replications must be >= 1, got {self.replications}"
             )
+        for name in ("width", "height", "radio_range"):
+            value = getattr(self, name)
+            if value <= 0:
+                raise InvalidConfigError(f"{name} must be > 0, got {value}")
+        if self.t_sleep_s < 0:
+            raise InvalidConfigError(f"t_sleep_s must be >= 0, got {self.t_sleep_s}")
+        if not 0 <= self.timeout_min_s <= self.resolved_timeout_max():
+            raise InvalidConfigError(
+                f"need 0 <= timeout_min_s <= timeout_max_s, got "
+                f"[{self.timeout_min_s}, {self.resolved_timeout_max()}]"
+            )
         # validate eagerly so bad configs fail before a run starts
-        self.duty_config()
         self.resolved_rw_length()
-        durations = {
-            "t_active_s": self.t_active_s,
-            "hello_interval_s": self.hello_interval_s,
-            "hop_latency_s": self.hop_latency_s,
-            "advertise_period_s": self.resolved_advertise_period(),
-        }
-        policy = self.resolved_view_policy()
-        if isinstance(policy, TimeoutBased):
-            durations["view_policy timeout"] = policy.tau
-        for name, seconds in durations.items():
+        for name, seconds in self.tick_durations().items():
             if dutycycle.to_ticks(seconds) < 1:
                 raise InvalidConfigError(
                     f"{name} must be at least one tick ({dutycycle.TICK_S:g} s), "
@@ -103,13 +104,25 @@ class SimConfig:
         if self.sink_gap_s < 0 or self.sink_start_s < 0:
             raise InvalidConfigError("sink timing must be >= 0")
 
-    def duty_config(self):
-        return dutycycle.DutyCycleConfig(
-            t_active=self.t_active_s,
-            t_sleep=self.t_sleep_s,
-            timeout_min=self.timeout_min_s,
-            timeout_max=self.timeout_max_s,
-        )
+    @property
+    def period(self):
+        """The duty-cycle period U = t_active + t_sleep."""
+        return self.t_active_s + self.t_sleep_s
+
+    def tick_durations(self):
+        """Every duration a run keeps in ticks, in seconds by name; each
+        must be at least one tick."""
+        durations = {
+            "t_active_s": self.t_active_s,
+            "period": self.period,
+            "hello_interval_s": self.hello_interval_s,
+            "hop_latency_s": self.hop_latency_s,
+            "advertise_period_s": self.resolved_advertise_period(),
+        }
+        policy = self.resolved_view_policy()
+        if isinstance(policy, TimeoutBased):  # views age their entries in ticks
+            durations["view_policy timeout"] = policy.tau
+        return durations
 
     def resolved_rw_length(self):
         return resolve_rw_length(self.rw_length, self.n)
@@ -122,9 +135,14 @@ class SimConfig:
             return math.ceil(math.sqrt(self.n))
         return int(self.sink_visits)
 
+    def resolved_timeout_max(self):
+        if self.timeout_max_s is None:
+            return self.period
+        return self.timeout_max_s
+
     def resolved_advertise_period(self):
         if self.advertise_period_s is None:
-            return self.duty_config().period
+            return self.period
         return float(self.advertise_period_s)
 
     def with_updates(self, **kwargs):
@@ -181,7 +199,7 @@ class RunTrace:
 
     def time_avg_active(self):
         """Mean sampled active count once all initial timers have expired."""
-        mask = self.times >= self.config.duty_config().timeout_max
+        mask = self.times >= self.config.resolved_timeout_max()
         if not mask.any():
             mask = self.times >= self.times.max()
         return float(self.active_counts[mask].mean())
@@ -290,7 +308,6 @@ def run(config, topology=None):
     lcm earlier and adds no neighbour. event_counts["hello"] counts the
     hellos sent up to the horizon, dispatched or not."""
     n = config.n
-    duty = config.duty_config()
     adjacency = ()
     if reads_topology(config):
         if topology is None:
@@ -300,16 +317,19 @@ def run(config, topology=None):
         adjacency = topology.neighbors
 
     to_ticks = dutycycle.to_ticks
-    drawn = dutycycle.draw_phases(n, duty, rng_stream(config.seed, "phases"))
+    ticks = {name: to_ticks(sec) for name, sec in config.tick_durations().items()}
+    drawn = dutycycle.draw_phases(
+        n, config.timeout_min_s, config.resolved_timeout_max(),
+        rng_stream(config.seed, "phases"),
+    )
     phases = to_ticks(drawn)
-    period = to_ticks(duty.period)
-    t_active = to_ticks(duty.t_active)
+    period = ticks["period"]
+    t_active = ticks["t_active_s"]
     awake = dutycycle.awake_predicate(phases, period, t_active)
     horizon = to_ticks(config.horizon_s)
 
-    policy = config.resolved_view_policy()
-    if isinstance(policy, TimeoutBased):  # views age their entries in ticks
-        policy = TimeoutBased(to_ticks(policy.tau))
+    tau = ticks.get("view_policy timeout")
+    policy = config.resolved_view_policy() if tau is None else TimeoutBased(tau)
     views = [View(i, policy) for i in range(n)]
     tables = known = draw = None      # read only by hellos and hops
     if config.dissemination_enabled:
@@ -329,9 +349,9 @@ def run(config, topology=None):
         seq += 1
 
     rw_length = config.resolved_rw_length()
-    hop_latency = to_ticks(config.hop_latency_s)
-    hello_interval = to_ticks(config.hello_interval_s)
-    advertise_period = to_ticks(config.resolved_advertise_period())
+    hop_latency = ticks["hop_latency_s"]
+    hello_interval = ticks["hello_interval_s"]
+    advertise_period = ticks["advertise_period_s"]
 
     event_counts = {"hello": 0, "launch": 0, "hop": 0, "visit": 0}
 
@@ -499,15 +519,10 @@ class ReplicateResult:
         return self.coverage_matrix.std(axis=0)
 
 
-def replicate(config, runs=None):
-    """Independent executions with seeds seed, seed+1, ...; aggregates every
-    scalar metric. With fixed_topology the placement of the base seed is
-    shared; otherwise each run redraws its own."""
-    if runs is None:
-        runs = config.replications
-    if runs < 1:
-        raise InvalidConfigError(f"runs must be >= 1, got {runs}")
-
+def replicate(config):
+    """config.replications independent executions with seeds seed, seed+1,
+    ...; aggregates every scalar metric. With fixed_topology the placement
+    of the base seed is shared; otherwise each run redraws its own."""
     shared = None
     if config.fixed_topology and reads_topology(config):
         shared = build_topology(config)
@@ -515,7 +530,7 @@ def replicate(config, runs=None):
     # run's arrays are alive at a time
     scalars = {}
     coverage = []
-    for i in range(runs):
+    for i in range(config.replications):
         cfg = config.with_updates(seed=config.seed + i)
         trace = run(cfg, topology=shared)
         for name, value in trace.summary().items():

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import dutycycle
 from .engine import SimConfig, build_topology, fmt, replicate
 from .errors import InvalidConfigError
 from .sink import predicted_coverage
@@ -61,8 +60,11 @@ def apply_param(config, name, value):
             frac = float(value)
         except ValueError:
             raise InvalidConfigError(f"bad float for delta: {value!r}") from None
-        duty = dutycycle.config_for_delta(frac, config.duty_config().period)
-        return config.with_updates(t_active_s=duty.t_active, t_sleep_s=duty.t_sleep)
+        if not 0.0 <= frac < 1.0:
+            raise InvalidConfigError(f"sleep fraction must be in [0, 1), got {frac}")
+        period = config.period
+        t_sleep = frac * period
+        return config.with_updates(t_active_s=period - t_sleep, t_sleep_s=t_sleep)
     coerced = SimConfig.coerce_value(name, value)
     return config.with_updates(**{name: coerced})
 
@@ -87,7 +89,7 @@ def exp_active_vs_delta(n, deltas=DELTA_GRID, runs=15, seed=0):
     base = active_sweep_config(n, seed=seed, runs=runs)
     rows = []
     for frac in deltas:
-        result = replicate(apply_param(base, "delta", frac), runs)
+        result = replicate(apply_param(base, "delta", frac))
         mean, std = result.metric("time_avg_active")
         rows.append((float(frac), mean, std, n, runs))
     return FigureDataset(
@@ -150,7 +152,7 @@ def coverage_config(variant, seed=0, runs=15):
 def exp_coverage(variant, runs=15, seed=0):
     """Coverage curve (mean and stddev per visit index) for one variant."""
     config = coverage_config(variant, seed=seed, runs=runs)
-    result = replicate(config, runs)
+    result = replicate(config)
     mean = result.coverage_mean()
     std = result.coverage_std()
     n = config.n
@@ -182,25 +184,24 @@ def exp_coverage(variant, runs=15, seed=0):
     )
 
 
-def run_sweep(name, base, param, values, runs=None):
-    """Generic one-parameter sweep aggregating every scalar metric. Every
-    value is applied before the first run, so a bad one fails fast."""
+def run_sweep(name, base, param, values):
+    """Generic one-parameter sweep aggregating every scalar metric over
+    each config's replications. Every value is applied before the first
+    run, so a bad one fails fast."""
     if not values:
         raise InvalidConfigError("sweep value list is empty")
     configs = [apply_param(base, param, value) for value in values]
-    if runs is None:
-        runs = base.replications
     rows = []
     names = None
     for value, config in zip(values, configs):
-        result = replicate(config, runs)
+        result = replicate(config)
         if names is None:
             names = sorted(result.metrics)
         row = [value]
         for metric in names:
             mean, std = result.metrics[metric]
             row.extend((mean, std))
-        row.append(runs)
+        row.append(config.replications)
         rows.append(tuple(row))
     columns = [param]
     for metric in names:

@@ -27,9 +27,9 @@ def report(number, ok, text):
     assert ok, f"criterion {number}: {text}"
 
 
-def timed_replicate(config, runs):
+def timed_replicate(config):
     start = time.perf_counter()
-    result = replicate(config, runs)
+    result = replicate(config)
     return result, time.perf_counter() - start
 
 
@@ -39,7 +39,7 @@ def variant_curves():
     curves = {}
     for variant in ("all-active", "small-timeout", "normal"):
         cfg = coverage_config(variant, seed=42, runs=RUNS)
-        result, elapsed = timed_replicate(cfg, RUNS)
+        result, elapsed = timed_replicate(cfg)
         curves[variant] = {
             "mean": result.coverage_mean(),
             "std": result.coverage_std(),
@@ -52,7 +52,7 @@ def variant_curves():
 def test_criterion_1_active_count_n100():
     cfg = active_sweep_config(100, seed=42, runs=RUNS)
     cfg = apply_param(cfg, "delta", 0.9)
-    result, elapsed = timed_replicate(cfg, RUNS)
+    result, elapsed = timed_replicate(cfg)
     mean, _ = result.metric("time_avg_active")
     ok = 8.0 <= mean <= 12.0 and elapsed < 5.0
     report(1, ok, f"n=100 delta=0.9 mean active {mean:.2f} in [8,12], "
@@ -62,7 +62,7 @@ def test_criterion_1_active_count_n100():
 def test_criterion_2_active_count_n400():
     cfg = active_sweep_config(400, seed=42, runs=RUNS)
     cfg = apply_param(cfg, "delta", 0.9)
-    result, elapsed = timed_replicate(cfg, RUNS)
+    result, elapsed = timed_replicate(cfg)
     mean, _ = result.metric("time_avg_active")
     ok = 34.0 <= mean <= 46.0 and elapsed < 20.0
     report(2, ok, f"n=400 delta=0.9 mean active {mean:.2f} in [34,46], "

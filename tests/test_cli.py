@@ -1,13 +1,15 @@
+import argparse
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
 import pytest
 
 import rawsim
-from rawsim.cli import COMMANDS, cli
+from rawsim.cli import COMMANDS, build_parser, cli
 from rawsim.topology import load_placement
 
 
@@ -69,6 +71,14 @@ def test_malformed_values_exit_2(tmp_path, capsys):
         ["run", "--set", "advertise_period_s=4e-7"],
         ["run", "--set", "view_policy=timeout:1e-7"],
         ["run", "--set", "advertise_period_s=0"],
+        # geometry is checked when the config is built, not when a run
+        # first reads a topology
+        ["run", "--set", "radio_range=-5", "--set", "dissemination_enabled=false",
+         "--set", "horizon_s=20"],
+        ["run", "--set", "width=-5", "--set", "dissemination_enabled=false",
+         "--set", "horizon_s=20"],
+        ["run", "--set", "height=0", "--set", "dissemination_enabled=false",
+         "--set", "horizon_s=20"],
     ):
         assert cli(args + ["--out", out]) == 2
         err = capsys.readouterr().err
@@ -114,6 +124,7 @@ def test_unknown_subcommand_exits_2():
         ["figures", "--config", "sim.cfg"],
         ["figures", "--set", "n=12"],
         ["gen", "--n", "25"],
+        ["sweep", "--runs", "3", "--param", "n", "--values", "5"],
     ],
     ids=lambda args: " ".join(args[:2]),
 )
@@ -122,6 +133,24 @@ def test_flag_the_subcommand_does_not_read_exits_2(monkeypatch, capsys, args):
     monkeypatch.setitem(COMMANDS, args[0], lambda _args: 0)
     assert cli(args) == 2
     assert "unrecognized arguments: " + args[1] in capsys.readouterr().err
+
+
+def test_readme_cli_section_lists_exactly_the_parser_flags():
+    readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## CLI", 1)[1].split("\n## ", 1)[0]
+    documented = {}
+    for bullet in re.findall(r"^- (`.*?(?=^-|^$))", section, re.M | re.S):
+        names, _, text = bullet.partition(":")
+        for name in re.findall(r"`(\w+)`", names):
+            documented[name] = set(re.findall(r"--[\w-]+", text))
+    (subparsers,) = (
+        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    parsed = {
+        name: {opt for a in p._actions for opt in a.option_strings} - {"-h", "--help"}
+        for name, p in subparsers.choices.items()
+    }
+    assert documented == parsed
 
 
 def test_runs_without_scipy(tmp_path):
@@ -147,7 +176,7 @@ def test_runs_without_scipy(tmp_path):
 def test_sweep_deterministic(tmp_path):
     args = [
         "sweep", "--param", "delta", "--values", "0.0,0.5",
-        "--runs", "2", "--seed", "11",
+        "--set", "replications=2", "--seed", "11",
         "--set", "n=20", "--set", "dissemination_enabled=false",
         "--set", "sink_enabled=false", "--set", "horizon_s=50",
     ]
@@ -200,7 +229,7 @@ def test_unwritable_output_path_exits_2(tmp_path, capsys, command):
     args = {
         "run": ["run", "--out", str(blocker)] + tiny,
         "gen": ["gen", "--set", "n=5", "--out", str(blocker / "p.txt")],
-        "sweep": ["sweep", "--param", "n", "--values", "5", "--runs", "1",
+        "sweep": ["sweep", "--param", "n", "--values", "5", "--set", "replications=1",
                   "--out", str(blocker / "s.csv")] + tiny,
         "report": ["report", str(summary), "--out", str(blocker / "r.csv")],
         "figures": ["figures", "--runs", "1", "--out", str(blocker)],

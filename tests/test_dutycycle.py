@@ -5,16 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rawsim.dutycycle import (
-    TICK_S,
-    DutyCycleConfig,
-    awake_predicate,
-    config_for_delta,
-    draw_phases,
-    to_ticks,
-)
-from rawsim.engine import rng_stream
+from rawsim.dutycycle import TICK_S, awake_predicate, draw_phases, to_ticks
+from rawsim.engine import SimConfig, rng_stream
 from rawsim.errors import InvalidConfigError
+from rawsim.experiments import apply_param
 from rawsim.kernels import active_counts
 
 S = 1_000_000  # ticks per second
@@ -23,28 +17,31 @@ S = 1_000_000  # ticks per second
 def test_delta_rejects_bad_inputs():
     # the sleep fraction t_sleep / (t_active + t_sleep) needs both in range
     with pytest.raises(InvalidConfigError):
-        DutyCycleConfig(t_active=0, t_sleep=5)
+        SimConfig(t_active_s=0.0, t_sleep_s=5.0)
     with pytest.raises(InvalidConfigError):
-        DutyCycleConfig(t_active=1, t_sleep=-1)
+        SimConfig(t_active_s=1.0, t_sleep_s=-1.0)
 
 
 def test_config_invariants():
-    cfg = DutyCycleConfig(t_active=1.0, t_sleep=9.0)
+    cfg = SimConfig(t_active_s=1.0, t_sleep_s=9.0)
     assert cfg.period == 10.0
-    assert cfg.t_sleep / cfg.period == 0.9
-    assert cfg.timeout_max == 10.0  # defaults to the period
+    assert cfg.t_sleep_s / cfg.period == 0.9
+    assert cfg.resolved_timeout_max() == 10.0  # defaults to the period
     with pytest.raises(InvalidConfigError):
-        DutyCycleConfig(t_active=0.0, t_sleep=1.0)
+        SimConfig(t_active_s=0.0, t_sleep_s=1.0)
     with pytest.raises(InvalidConfigError):
-        DutyCycleConfig(t_active=1.0, t_sleep=1.0, timeout_min=5.0, timeout_max=2.0)
+        SimConfig(t_active_s=1.0, t_sleep_s=1.0, timeout_min_s=5.0, timeout_max_s=2.0)
+    with pytest.raises(InvalidConfigError):
+        SimConfig(timeout_min_s=-1.0)
 
 
-def test_config_for_delta_rejects_full_sleep():
+def test_apply_param_delta_rejects_full_sleep():
+    cfg = SimConfig(t_active_s=5.0, t_sleep_s=5.0)
     with pytest.raises(InvalidConfigError):
-        config_for_delta(1.0, 10.0)
-    cfg = config_for_delta(0.9, 10.0)
-    assert cfg.t_active == pytest.approx(1.0)
-    assert cfg.t_sleep == pytest.approx(9.0)
+        apply_param(cfg, "delta", 1.0)
+    swept = apply_param(cfg, "delta", 0.9)
+    assert swept.t_active_s == pytest.approx(1.0)
+    assert swept.t_sleep_s == pytest.approx(9.0)
 
 
 def test_to_ticks_rounds_to_whole_microseconds():
@@ -111,20 +108,21 @@ def test_population_matches_expectation_over_replications():
     # time-averaged active count over one period after all phases expire
     n = 100
     frac = 0.9
-    cfg = config_for_delta(frac, 10.0)
+    cfg = apply_param(SimConfig(n=n), "delta", frac)
+    lo, hi = cfg.timeout_min_s, cfg.resolved_timeout_max()
     averages = []
     for rep in range(15):
-        phases = to_ticks(draw_phases(n, cfg, rng_stream(100 + rep, "phases")))
-        times = to_ticks(np.arange(cfg.timeout_max, cfg.timeout_max + cfg.period, 0.05))
-        counts = active_counts(phases, to_ticks(cfg.period), to_ticks(cfg.t_active), times)
+        phases = to_ticks(draw_phases(n, lo, hi, rng_stream(100 + rep, "phases")))
+        times = to_ticks(np.arange(hi, hi + cfg.period, 0.05))
+        period, t_active = to_ticks(cfg.period), to_ticks(cfg.t_active_s)
+        counts = active_counts(phases, period, t_active, times)
         averages.append(counts.mean())
     sigma = math.sqrt(n * frac * (1 - frac))
     assert abs(np.mean(averages) - (1 - frac) * n) <= 3 * sigma
 
 
 def test_active_counts_matches_awake_predicate():
-    cfg = DutyCycleConfig(t_active=2.0, t_sleep=3.0, timeout_max=5.0)
-    phases = to_ticks(draw_phases(8, cfg, rng_stream(9, "phases")))
+    phases = to_ticks(draw_phases(8, 0.0, 5.0, rng_stream(9, "phases")))
     awake = awake_predicate(phases, 5 * S, 2 * S)
     times = to_ticks(np.linspace(0.0, 30.0, 61))
     counts = active_counts(phases, 5 * S, 2 * S, times)

@@ -190,7 +190,7 @@ def test_no_launch_skips_when_advertising_at_multiples_of_the_period():
         for multiple in (1, 2):
             cfg = coverage_config(variant, seed=42)
             trace = coverage_run(
-                variant, advertise_period_s=multiple * cfg.duty_config().period
+                variant, advertise_period_s=multiple * cfg.period
             )
             assert trace.launches > 0
             assert trace.launch_skips == 0, (variant, multiple)
@@ -214,10 +214,12 @@ def settled_discovery(config):
     from which no hello adds a neighbour, computed without the engine."""
     from rawsim.dutycycle import draw_phases
 
-    duty = config.duty_config()
-    drawn = draw_phases(config.n, duty, rng_stream(config.seed, "phases"))
+    drawn = draw_phases(
+        config.n, config.timeout_min_s, config.resolved_timeout_max(),
+        rng_stream(config.seed, "phases"),
+    )
     phases = to_ticks(drawn).tolist()
-    lcm = math.lcm(to_ticks(config.hello_interval_s), to_ticks(duty.period))
+    lcm = math.lcm(to_ticks(config.hello_interval_s), to_ticks(config.period))
     return phases, max(phases) + lcm
 
 
@@ -227,8 +229,8 @@ def replay_hellos(config, phases, horizon):
     from rawsim import dissemination
     from rawsim.dutycycle import awake_predicate
 
-    duty = config.duty_config()
-    awake = awake_predicate(phases, to_ticks(duty.period), to_ticks(duty.t_active))
+    period, t_active = to_ticks(config.period), to_ticks(config.t_active_s)
+    awake = awake_predicate(phases, period, t_active)
     adjacency = build_topology(config).neighbors
     tables = [dissemination.NeighborTable(i) for i in range(config.n)]
     for t, node in hello_schedule(phases, to_ticks(config.hello_interval_s), horizon):
@@ -257,7 +259,7 @@ def test_one_awake_hello_per_window_when_active_time_is_the_hello_interval(
         trace = coverage_run(variant, t_active_s=t_active_s, hello_interval_s=t_active_s)
         phases, settled = settled_discovery(trace.config)
         h = to_ticks(t_active_s)
-        period = to_ticks(trace.config.duty_config().period)
+        period = to_ticks(trace.config.period)
         horizon = to_ticks(trace.config.horizon_s)
         assert settled < horizon
         awake = awake_predicate(phases, period, h)
@@ -371,15 +373,15 @@ def test_view_size_series_shape_and_bound():
 
 
 def test_replicate_single_run_zero_stddev():
-    result = replicate(quick_config(), runs=1)
+    result = replicate(quick_config(replications=1))
     for mean, std in result.metrics.values():
         assert std == 0.0
 
 
 def test_replicate_deterministic_aggregates():
-    cfg = quick_config()
-    r1 = replicate(cfg, runs=3)
-    r2 = replicate(cfg, runs=3)
+    cfg = quick_config(replications=3)
+    r1 = replicate(cfg)
+    r2 = replicate(cfg)
     assert r1.metrics == r2.metrics
     assert (r1.coverage_matrix == r2.coverage_matrix).all()
 
@@ -400,30 +402,44 @@ def recorded_runs(monkeypatch):
 
 
 def test_replicate_uses_consecutive_seeds(monkeypatch):
-    cfg = quick_config()
+    cfg = quick_config(replications=3)
     traces = recorded_runs(monkeypatch)
-    replicate(cfg, runs=3)
+    replicate(cfg)
     assert [t.seed for t in traces] == [5, 6, 7]
     solo = run(cfg.with_updates(seed=6))
     assert solo.summary() == traces[1].summary()
 
 
 def test_fixed_topology_shares_placement(monkeypatch):
-    cfg = quick_config(fixed_topology=True, sink_enabled=False,
-                       dissemination_enabled=False)
-    traces = recorded_runs(monkeypatch)
-    replicate(cfg, runs=2)
-    # same placement means identical adjacency-driven metrics across seeds
-    base = build_topology(cfg)
-    assert len(traces) == 2
-    for trace in traces:
-        assert trace.config.fixed_topology
-    replicate(cfg.with_updates(fixed_topology=False), runs=2)
-    assert (
-        build_topology(cfg.with_updates(seed=5)).positions
-        == base.positions
-    ).all()
-    assert len(traces) == 4
+    from rawsim import engine
+
+    built = []
+    read = []  # the topology each run reads: passed in, or built by the run
+    build, one_run = engine.build_topology, engine.run
+
+    def recording_build(config):
+        built.append(build(config))
+        return built[-1]
+
+    def recording_run(config, topology=None):
+        first = len(built)
+        trace = one_run(config, topology=topology)
+        read.append(topology if topology is not None else built[first])
+        return trace
+
+    monkeypatch.setattr(engine, "build_topology", recording_build)
+    monkeypatch.setattr(engine, "run", recording_run)
+    cfg = quick_config(fixed_topology=True, sink_enabled=False, replications=2)
+    base = build(cfg).positions  # seed 5
+    replicate(cfg)
+    assert len(read) == 2
+    for topology in read:
+        assert (topology.positions == base).all()
+    read.clear()
+    replicate(cfg.with_updates(fixed_topology=False))
+    assert len(read) == 2
+    assert (read[0].positions == base).all()
+    assert not (read[1].positions == base).all()  # seed 6 draws its own
 
 
 @pytest.mark.parametrize("disseminate", [False, True])
@@ -445,8 +461,8 @@ def test_replicate_builds_a_fixed_topology_only_if_a_run_reads_it(monkeypatch, d
     monkeypatch.setattr(engine, "build_topology", counting_build)
     monkeypatch.setattr(engine, "run", recording_run)
     cfg = quick_config(fixed_topology=True, sink_enabled=False,
-                       dissemination_enabled=disseminate)
-    replicate(cfg, runs=2)
+                       dissemination_enabled=disseminate, replications=2)
+    replicate(cfg)
     if disseminate:
         assert len(built) == 1
         assert given[0] is given[1] is built[0]
@@ -471,8 +487,8 @@ def test_replicate_without_traces_keeps_one_run_alive(monkeypatch):
         return trace
 
     monkeypatch.setattr(engine, "run", recording_run)
-    cfg = quick_config(sink_enabled=False, dissemination_enabled=False)
-    replicate(cfg, runs=3)
+    cfg = quick_config(sink_enabled=False, dissemination_enabled=False, replications=3)
+    replicate(cfg)
     assert len(alive) == 3
     assert max(alive) <= 1  # the previous run's trace, until it is replaced
 

@@ -23,13 +23,12 @@ def test_delta_grid_matches_sweep_protocol():
 def test_apply_param_delta_keeps_period():
     cfg = active_sweep_config(100)
     swept = apply_param(cfg, "delta", 0.3)
-    duty = swept.duty_config()
-    assert duty.period == pytest.approx(10.0)
-    assert duty.t_sleep / duty.period == pytest.approx(0.3)
-    period = cfg.duty_config().period
+    assert swept.period == pytest.approx(10.0)
+    assert swept.t_sleep_s / swept.period == pytest.approx(0.3)
+    period = cfg.period
     for frac in DELTA_GRID:
         swept = apply_param(cfg, "delta", frac)
-        # the same conversion as dutycycle.config_for_delta, to the last bit
+        # t_sleep = delta * U and t_active = U - t_sleep, to the last bit
         assert swept.t_sleep_s == frac * period
         assert swept.t_active_s == period - frac * period
 
@@ -77,13 +76,12 @@ def test_delta_for_sqrt_n_frozen_values():
 
 def test_coverage_config_variants():
     normal = coverage_config("normal")
-    duty = normal.duty_config()
-    assert duty.t_sleep / duty.period == pytest.approx(0.9)
+    assert normal.t_sleep_s / normal.period == pytest.approx(0.9)
     assert normal.horizon_s == 1000.0
     small = coverage_config("small-timeout")
     assert (small.timeout_min_s, small.timeout_max_s) == (1.0, 2.0)
     allactive = coverage_config("all-active")
-    assert allactive.duty_config().t_sleep == 0.0
+    assert allactive.t_sleep_s == 0.0
     assert allactive.timeout_max_s == 0.0
     dense = coverage_config("dense")
     assert dense.width == dense.height == 550.0
@@ -104,8 +102,8 @@ def test_exp_coverage_dataset_shape():
 
 def test_run_sweep_deterministic_csv():
     base = active_sweep_config(25, runs=2)
-    a = run_sweep("demo", base, "delta", (0.0, 0.4), runs=2).to_csv()
-    b = run_sweep("demo", base, "delta", (0.0, 0.4), runs=2).to_csv()
+    a = run_sweep("demo", base, "delta", (0.0, 0.4)).to_csv()
+    b = run_sweep("demo", base, "delta", (0.0, 0.4)).to_csv()
     assert a == b
     header = a.splitlines()[0]
     assert header.startswith("delta,")
