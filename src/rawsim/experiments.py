@@ -215,6 +215,8 @@ def all_figures(seed=42, out_dir=".", runs=15):
     import pathlib
 
     out = pathlib.Path(out_dir)
+    # a config checks the run count, so a bad one raises before out_dir is made
+    active_sweep_config(25, seed=seed, runs=runs)
     out.mkdir(parents=True, exist_ok=True)
     written = []
 

@@ -5,19 +5,22 @@ These are the only vectorized parts of a run. The event loop in
 engine.py dispatches one event at a time in Python.
 
 active_counts counts per duty-cycle window, not per (node, sample) cell.
-Phases, period, t_active and sample times are integer ticks. The per-cell
+Phases, period, t_active and sample times are integer ticks, and the
+samples form an evenly spaced grid times[i] = t0 + i*step. The per-cell
 rule (dutycycle.awake_predicate) says node i is awake at t when
 dt = t - phase_i is >= 0 and dt mod U < t_active. So a node's awake
 samples form one contiguous block per window q, the samples in
-[phase + q*U, phase + q*U + t_active). Two searchsorted calls per window
-find its block, and +1 at its start and -1 at its end, summed with
-bincount and cumsum, give the count at every sample: O(n*H/U) work
-instead of O(n*H) for n nodes, H samples and period U. Integer edges are
-exact, so the result equals the per-cell rule.
+[phase + q*U, phase + q*U + t_active). On the grid, the first sample at
+or after an edge e has index ceil((e - t0) / step), clipped to [0, H];
+integer division gives it exactly, with no search. +1 at each block's
+first index and -1 past its last, summed with bincount and cumsum, give
+the count at every sample: O(n*H/U) work instead of O(n*H) for n nodes,
+H samples and period U. The result equals the per-cell rule.
 
-The per-cell form (active_counts_per_cell) runs instead when windows
-would outnumber samples. With t_active >= U a node is awake from its
-phase on, so the count is the number of phases <= t.
+With t_active >= U a node is awake from its phase on: one open-ended
+window per node, on the same index rule. The per-cell form
+(active_counts_per_cell) runs instead when windows would outnumber
+samples.
 """
 
 import numpy as np
@@ -50,24 +53,30 @@ def active_counts_per_cell(phases, period, t_active, times):
 
 
 def active_counts(phases, period, t_active, times):
-    """Number of nodes awake at each of the ascending sample times; the
-    vector form of dutycycle.awake_predicate (a node before its phase is
-    not awake). Counts per window; see the module docstring."""
-    if np.any(times[1:] < times[:-1]):
-        raise ValueError("sample times must be ascending")
+    """Number of nodes awake at each sample of the ascending, evenly spaced
+    grid times; the vector form of dutycycle.awake_predicate (a node before
+    its phase is not awake). Counts per window; see the module docstring."""
     h = times.shape[0]
+    step = times[1] - times[0] if h > 1 else 1
+    if step <= 0 or (np.diff(times) != step).any():
+        raise ValueError("sample times must be an ascending, evenly spaced grid")
     if h == 0 or phases.shape[0] == 0:
         return active_counts_per_cell(phases, period, t_active, times)
-    if t_active >= period:
-        return np.searchsorted(np.sort(phases), times, side="right").astype(np.int64)
+    t0 = times[0]
 
+    def first_index(edges):
+        """Index of the first sample at or after each edge, in [0, h]."""
+        index = -((t0 - edges) // step)  # ceil((edges - t0) / step), exactly
+        return np.clip(index, 0, h, out=index)
+
+    if t_active >= period:
+        return np.cumsum(np.bincount(first_index(phases), minlength=h + 1)[:h])
     windows = int((times[-1] - phases.min()) // period) + 1
     if windows > h:
         return active_counts_per_cell(phases, period, t_active, times)
     starts = (phases[:, None] + np.arange(windows) * period).ravel()
-    lo = np.searchsorted(times, starts)
-    hi = np.searchsorted(times, starts + t_active)
-    steps = np.bincount(lo, minlength=h + 1) - np.bincount(hi, minlength=h + 1)
+    steps = np.bincount(first_index(starts), minlength=h + 1)
+    steps -= np.bincount(first_index(starts + t_active), minlength=h + 1)
     return np.cumsum(steps[:h])
 
 

@@ -219,6 +219,14 @@ def test_report_rejects_malformed_summaries(tmp_path, capsys):
     assert not (tmp_path / "r.csv").exists()
 
 
+@pytest.mark.parametrize("runs", ["0", "-3"])
+def test_figures_rejects_runs_below_one_before_making_out(tmp_path, capsys, runs):
+    out = tmp_path / "figs"
+    assert cli(["figures", "--runs", runs, "--out", str(out)]) == 2
+    assert "replications must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["run", "gen", "sweep", "report", "figures"])
 def test_unwritable_output_path_exits_2(tmp_path, capsys, command):
     blocker = tmp_path / "file"

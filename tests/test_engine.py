@@ -6,10 +6,16 @@ import re
 import numpy as np
 import pytest
 
+from rawsim import kernels
 from rawsim.dutycycle import to_ticks
 from rawsim.engine import SimConfig, build_topology, replicate, rng_stream, run
 from rawsim.errors import InvalidConfigError, SetupError
-from rawsim.experiments import COVERAGE_VARIANTS, coverage_config
+from rawsim.experiments import (
+    COVERAGE_VARIANTS,
+    active_sweep_config,
+    apply_param,
+    coverage_config,
+)
 
 S = 1_000_000  # ticks per second
 
@@ -362,6 +368,31 @@ def test_time_avg_active_near_expectation():
                     sink_enabled=False, seed=21)
     trace = run(cfg)
     assert 8.0 <= trace.time_avg_active() <= 12.0
+
+
+def _short_run_config(name, horizon):
+    if name in COVERAGE_VARIANTS:
+        return coverage_config(name, seed=42).with_updates(
+            n=30, horizon_s=horizon, sink_start_s=20.0
+        )
+    delta = float(name.removeprefix("sweep-delta"))
+    return apply_param(active_sweep_config(50, horizon=horizon, seed=42), "delta", delta)
+
+
+# all-active and sweep-delta0.0 have t_active equal to U
+@pytest.mark.parametrize("horizon", [37.5, 120.0])
+@pytest.mark.parametrize(
+    "name", COVERAGE_VARIANTS + ("sweep-delta0.0", "sweep-delta0.5", "sweep-delta0.9")
+)
+def test_run_active_counts_equal_the_per_cell_rule(name, horizon):
+    cfg = _short_run_config(name, horizon)
+    trace = run(cfg)
+    samples = to_ticks(trace.times)
+    assert samples.shape == (math.floor(horizon) + 1,)
+    expected = kernels.active_counts_per_cell(
+        to_ticks(trace.phases), to_ticks(cfg.period), to_ticks(cfg.t_active_s), samples
+    )
+    assert trace.active_counts.tolist() == expected.tolist()
 
 
 def test_view_size_series_shape_and_bound():

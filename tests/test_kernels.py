@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,15 +15,22 @@ PERIODS = (10 * S, 3 * S // 10, 7)
 
 
 def test_active_counts_handles_always_on():
-    phases = np.zeros(5, dtype=np.int64)
-    counts = kernels.active_counts(phases, 7 * S, 7 * S, np.array([0, 3 * S, 100 * S]))
-    assert np.asarray(counts).tolist() == [5, 5, 5]
+    phases = np.array([0, 0, 3 * S, 5 * S, 200 * S])
+    counts = kernels.active_counts(phases, 7 * S, 7 * S, np.arange(0, 101 * S, 50 * S))
+    assert counts.tolist() == [2, 4, 4]
+
+
+def divisors(k):
+    small = [d for d in range(1, math.isqrt(k) + 1) if k % d == 0]
+    return sorted(set(small + [k // d for d in small]))
 
 
 @st.composite
 def schedules(draw):
-    """(phases, period, t_active, times) in ticks, with many samples on or
-    next to a window edge."""
+    """(phases, period, t_active, times) in ticks. times is an evenly
+    spaced grid of 1 to 300 samples that starts on or next to a window
+    edge, or next to 0. Its step divides U or t_active, so that later
+    samples land on later edges too, or divides neither."""
     n = draw(st.integers(1, 6))
     period = draw(st.sampled_from(PERIODS))
     t_active = draw(
@@ -39,20 +48,16 @@ def schedules(draw):
             st.lists(st.integers(0, period), min_size=n, max_size=n),
         )
     )
-    kind = draw(st.sampled_from(("arange", "linspace", "edges")))
-    if kind == "arange":
-        step = draw(st.sampled_from((S, S // 2, S // 10)))
-        times = np.arange(0, draw(st.integers(1, 100)) * S, step)
-    elif kind == "linspace":
-        times = to_ticks(np.linspace(0.0, draw(st.integers(1, 100)), draw(st.integers(1, 300))))
-    else:
-        # every window edge, phase + q*U and that plus t_active, all moved
-        # by the same few ticks; some twice
-        q = np.arange(draw(st.integers(1, 40)))[:, None]
-        starts = (np.array(phases) + q * period).ravel()
-        times = np.concatenate([starts, starts + t_active]) + draw(st.integers(-3, 3))
-        repeats = draw(st.integers(0, times.shape[0]))
-        times = np.sort(np.concatenate([times, times[:repeats]]))
+    # the edge phase + q*U or phase + q*U + t_active of a drawn node
+    edge = (
+        draw(st.sampled_from(phases))
+        + draw(st.integers(0, 40)) * period
+        + draw(st.sampled_from((0, t_active)))
+    )
+    t0 = draw(st.sampled_from((0, edge))) + draw(st.integers(-3, 3))
+    neither = [k for k in (7, 13, S // 3 + 1) if period % k and t_active % k]
+    step = draw(st.sampled_from(divisors(period) + divisors(t_active) + neither))
+    times = t0 + step * np.arange(draw(st.integers(1, 300)))
     return np.array(phases, dtype=np.int64), period, t_active, times
 
 
@@ -67,16 +72,21 @@ def test_active_counts_matches_awake_predicate(schedule):
     assert counts.tolist() == expected
 
 
-@pytest.mark.parametrize("delta", [0.0, 0.5, 0.9])
-@pytest.mark.parametrize("timeout_max", [0.0, 10.0])
-def test_sweep_never_counts_per_cell(monkeypatch, delta, timeout_max):
-    """The sweep's shape (n=400, samples 0..500 s, U = 10 s) never falls
-    back to the per-cell count, even when every window edge is on a
-    sample, and gives the same counts."""
+def sweep_shape(delta, timeout_max):
+    """The sweep's shape: n=400, samples 0..500 s, U = 10 s; returns
+    (phases, t_active, times, the per-cell counts)."""
     phases = to_ticks(rng_stream(1, "phases").uniform(0.0, timeout_max, 400))
     times = to_ticks(np.arange(0.0, 501.0))
     t_active = to_ticks(10.0 - 10.0 * delta)
-    expected = kernels.active_counts_per_cell(phases, 10 * S, t_active, times)
+    return phases, t_active, times, kernels.active_counts_per_cell(phases, 10 * S, t_active, times)
+
+
+@pytest.mark.parametrize("delta", [0.0, 0.5, 0.9])
+@pytest.mark.parametrize("timeout_max", [0.0, 10.0])
+def test_sweep_never_counts_per_cell(monkeypatch, delta, timeout_max):
+    """The sweep's shape never falls back to the per-cell count, even when
+    every window edge is on a sample, and gives the same counts."""
+    phases, t_active, times, expected = sweep_shape(delta, timeout_max)
 
     def per_cell(*args):
         raise AssertionError("fell back to the per-cell count")
@@ -86,6 +96,31 @@ def test_sweep_never_counts_per_cell(monkeypatch, delta, timeout_max):
     assert counts.tolist() == expected.tolist()
 
 
+@pytest.mark.parametrize("delta", [0.0, 0.5, 0.9])
+def test_sweep_never_searches(monkeypatch, delta):
+    """On the sweep's grid every window edge finds its sample index by
+    arithmetic, the always-on case (delta 0) included."""
+    phases, t_active, times, expected = sweep_shape(delta, 10.0)
+
+    def searchsorted(*args, **kwargs):
+        raise AssertionError("searched the sample times")
+
+    monkeypatch.setattr(np, "searchsorted", searchsorted)
+    counts = kernels.active_counts(phases, 10 * S, t_active, times)
+    assert counts.tolist() == expected.tolist()
+
+
 def test_active_counts_requires_ascending_times():
-    with pytest.raises(ValueError, match="ascending"):
-        kernels.active_counts(np.zeros(2, dtype=np.int64), 10, 1, np.array([1, 0]))
+    phases = np.zeros(2, dtype=np.int64)
+    for times in ([1, 0], [0, 1, 3], [0, 2, 1, 3], [4, 4], [4, 4, 4]):
+        with pytest.raises(ValueError, match="ascending"):
+            kernels.active_counts(phases, 10, 1, np.array(times))
+
+
+@pytest.mark.parametrize("t_active", [3, 10])
+@pytest.mark.parametrize("t", [-1, 0, 2, 3, 25, 33])
+def test_active_counts_on_one_sample(t_active, t):
+    phases = np.array([0, 2, 3, 30])
+    awake = dutycycle.awake_predicate(phases, 10, t_active)
+    counts = kernels.active_counts(phases, 10, t_active, np.array([t]))
+    assert counts.tolist() == [sum(awake(i, t) for i in range(4))]
