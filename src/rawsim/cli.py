@@ -99,19 +99,27 @@ def _writing(path):
         raise InvalidConfigError(f"cannot write {path}: {exc}") from exc
 
 
+def _write_out(out, default_name, text):
+    """Write text to the --out path, or to default_name inside it if it is
+    a directory, and print where it went."""
+    out = pathlib.Path(out)
+    if out.is_dir():
+        out = out / default_name
+    with _writing(out):
+        out.parent.mkdir(parents=True, exist_ok=True)
+        out.write_text(text)
+    print(out)
+    return 0
+
+
 def cmd_gen(args):
     config = _load_base_config(args)
     positions = topology.place_uniform(
         config.n, config.width, config.height, rng_stream(config.seed, "placement")
     )
-    out = pathlib.Path(args.out)
-    if out.is_dir():
-        out = out / f"placement_n{config.n}.txt"
-    with _writing(out):
-        out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(topology.save_placement(positions))
-    print(out)
-    return 0
+    return _write_out(
+        args.out, f"placement_n{config.n}.txt", topology.save_placement(positions)
+    )
 
 
 def cmd_run(args):
@@ -132,14 +140,7 @@ def cmd_sweep(args):
     values = tuple(v.strip() for v in args.values.split(",") if v.strip())
     name = args.name or f"sweep_{args.param.replace('/', '_')}"
     dataset = run_sweep(name, config, args.param, values)
-    out = pathlib.Path(args.out)
-    if out.is_dir():
-        out = out / f"{name}.csv"
-    with _writing(out):
-        out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(dataset.to_csv())
-    print(out)
-    return 0
+    return _write_out(args.out, f"{name}.csv", dataset.to_csv())
 
 
 def cmd_figures(args):
@@ -170,15 +171,7 @@ def cmd_report(args):
     for name in sorted(rows):
         vals = np.asarray(rows[name])
         lines.append(f"{name},{fmt(vals.mean())},{fmt(vals.std())},{len(vals)}")
-    text = "\n".join(lines) + "\n"
-    out = pathlib.Path(args.out)
-    if out.is_dir():
-        out = out / "report.csv"
-    with _writing(out):
-        out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(text)
-    print(out)
-    return 0
+    return _write_out(args.out, "report.csv", "\n".join(lines) + "\n")
 
 
 COMMANDS = {

@@ -1,11 +1,12 @@
 """Node-side dissemination protocol: random-walk advertisement, hello-based
 neighbor discovery, and view management at storage motes.
 
-A node advertises itself by launching a random walk carrying its current
-reading. Every walk step consumes one ttl unit whether the walk moves or
-stalls, so a walk of budget d performs exactly d steps; the node holding
-the message when ttl hits zero becomes the storage mote and records a
-<origin, reading, time> descriptor in its view.
+A node advertises itself by launching a random walk carrying its id (the
+walk's origin). Every walk step consumes one ttl unit whether the walk
+moves or stalls, so a walk of budget d performs exactly d steps; the node
+holding the message when ttl hits zero becomes the storage mote and
+records <origin, time> in its view. A node's sensor reading is not
+modelled, because no metric reads it: coverage counts origins.
 """
 
 import math
@@ -48,19 +49,12 @@ def parse_view_policy(text, n):
     return SizeBased(bound) if kind == "size" else TimeoutBased(bound)
 
 
-@dataclass
-class ViewEntry:
-    origin: int
-    data_value: int
-    last_time: float
-
-
 class View:
-    """Origin-keyed descriptor collection owned by one storage mote. Its
-    times and a timeout policy's tau share one unit: ticks in a run."""
+    """One storage mote's view: entries maps each stored origin to the
+    time of its last deposit. Those times and a timeout policy's tau share
+    one unit: ticks in a run."""
 
-    def __init__(self, owner, policy):
-        self.owner = owner
+    def __init__(self, policy):
         self.policy = policy
         self.entries = {}
 
@@ -70,29 +64,29 @@ class View:
     def origins(self):
         return self.entries.keys()
 
-    def publish(self, entry, now):
+    def publish(self, origin, now):
         """Insert or refresh, then apply the policy (Alg. publishView)."""
-        self.entries[entry.origin] = ViewEntry(entry.origin, entry.data_value, now)
+        self.entries[origin] = now
         self.maintain(now)
 
     def maintain(self, now):
+        entries = self.entries
         policy = self.policy
         if isinstance(policy, SizeBased):
-            while len(self.entries) > policy.k:
+            while len(entries) > policy.k:
                 # oldest first; ties evict the smaller origin id
-                victim = min(self.entries.values(), key=lambda e: (e.last_time, e.origin))
-                del self.entries[victim.origin]
+                _, victim = min((t, o) for o, t in entries.items())
+                del entries[victim]
         else:
-            expired = [o for o, e in self.entries.items() if now - e.last_time > policy.tau]
+            expired = [o for o, t in entries.items() if now - t > policy.tau]
             for origin in expired:
-                del self.entries[origin]
+                del entries[origin]
 
 
 @dataclass
 class NeighborTable:
-    """Neighbors discovered through hello packets while the owner was awake."""
+    """Neighbors one node discovered through hello packets while awake."""
 
-    owner: int
     known: list = field(default_factory=list)   # discovery order, for uniform picks
     members: set = field(default_factory=set)
 
@@ -106,7 +100,6 @@ class NeighborTable:
 class RWMessage:
     origin: int
     ttl: int
-    data_value: int
     current: int
 
 
@@ -164,13 +157,3 @@ def resolve_rw_length(spec, n):
         raise InvalidConfigError(f"rw_length must be >= 0, got {value}")
     return value
 
-
-def mean_ideal_intersection(n, k, pairs, rng):
-    """Sampling oracle: draw view pairs uniformly without replacement and
-    average their overlap."""
-    total = 0
-    for _ in range(pairs):
-        a = rng.choice(n, size=k, replace=False)
-        b = rng.choice(n, size=k, replace=False)
-        total += len(set(a.tolist()) & set(b.tolist()))
-    return total / pairs

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import dissemination, dutycycle, kernels, sink, topology as topo
 from .dissemination import (
-    RWMessage, TimeoutBased, View, ViewEntry, parse_view_policy, resolve_rw_length,
+    RWMessage, TimeoutBased, View, parse_view_policy, resolve_rw_length,
 )
 from .errors import InvalidConfigError, SetupError
 
@@ -330,13 +330,12 @@ def run(config, topology=None):
 
     tau = ticks.get("view_policy timeout")
     policy = config.resolved_view_policy() if tau is None else TimeoutBased(tau)
-    views = [View(i, policy) for i in range(n)]
+    views = [View(policy) for _ in range(n)]
     tables = known = draw = None      # read only by hellos and hops
     if config.dissemination_enabled:
-        tables = [dissemination.NeighborTable(i) for i in range(n)]
+        tables = [dissemination.NeighborTable() for _ in range(n)]
         known = [t.known for t in tables]  # aliases, grown by hello_tick
         draw = _draws(rng_stream(config.seed, "walks")).__next__
-    readings = [0] * n                 # monotone per-node sequence numbers
     size_log = []                      # (time, node, view size) deltas
 
     heap = []                          # (t, seq, kind, payload)
@@ -394,10 +393,10 @@ def run(config, topology=None):
     launch_skips = 0
     hop_events = 0
 
-    def deposit(storage, origin, value, t):
+    def deposit(storage, origin, t):
         nonlocal depositions
         view = views[storage]
-        view.publish(ViewEntry(origin, value, t), t)
+        view.publish(origin, t)
         depositions += 1
         size_log.append((t, storage, len(view)))
 
@@ -411,7 +410,7 @@ def run(config, topology=None):
             t, _, msg = next_hop()
             hop_events += 1
             if dissemination.hop(msg, known[msg.current], awake, t, draw()):
-                deposit(msg.current, msg.origin, msg.data_value, t)
+                deposit(msg.current, msg.origin, t)
             else:
                 nxt = t + hop_latency
                 if nxt <= horizon:  # otherwise dropped at horizon, counted below
@@ -432,12 +431,11 @@ def run(config, topology=None):
             event_counts["launch"] += 1
             node = payload
             if awake(node, t):
-                readings[node] += 1
                 launches += 1
                 if rw_length == 0:
-                    deposit(node, node, readings[node], t)
+                    deposit(node, node, t)
                 else:
-                    msg = RWMessage(node, rw_length, readings[node], node)
+                    msg = RWMessage(node, rw_length, node)
                     nxt = t + hop_latency
                     if nxt <= horizon:
                         push_hop((nxt, seq, msg))

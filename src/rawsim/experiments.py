@@ -187,20 +187,18 @@ def exp_coverage(variant, runs=15, seed=0):
 def run_sweep(name, base, param, values):
     """Generic one-parameter sweep aggregating every scalar metric over
     each config's replications. Every value is applied before the first
-    run, so a bad one fails fast."""
+    run, so a bad one fails fast. The columns cover every metric that any
+    value reports; a value without one leaves its cells empty."""
     if not values:
         raise InvalidConfigError("sweep value list is empty")
     configs = [apply_param(base, param, value) for value in values]
+    results = [replicate(config) for config in configs]
+    names = sorted(set().union(*(result.metrics for result in results)))
     rows = []
-    names = None
-    for value, config in zip(values, configs):
-        result = replicate(config)
-        if names is None:
-            names = sorted(result.metrics)
+    for value, config, result in zip(values, configs, results):
         row = [value]
         for metric in names:
-            mean, std = result.metrics[metric]
-            row.extend((mean, std))
+            row.extend(result.metrics.get(metric, ("", "")))
         row.append(config.replications)
         rows.append(tuple(row))
     columns = [param]

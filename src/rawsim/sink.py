@@ -11,7 +11,7 @@ from .errors import InvalidConfigError
 @dataclass(frozen=True)
 class VisitPlan:
     nodes: tuple    # visit order
-    times: tuple    # strictly increasing
+    times: tuple    # non-decreasing (the gap may be 0)
 
 
 @dataclass(frozen=True)
@@ -66,7 +66,7 @@ def plan_random_visits(n, m, start_time, gap, rng):
 
 
 def collect_origins(node, view):
-    """Origins a visit yields: the node's own reading plus its stored view."""
+    """Origins a visit yields: the node's own origin plus its stored view."""
     return {node} | set(view.origins())
 
 

@@ -9,7 +9,7 @@ import pytest
 from scipy import stats
 
 from rawsim.cli import cli
-from rawsim.dissemination import RWMessage, hop, mean_ideal_intersection
+from rawsim.dissemination import RWMessage, hop
 from rawsim.engine import SimConfig, replicate, rng_stream, run
 from rawsim.experiments import (
     DELTA_GRID,
@@ -18,6 +18,8 @@ from rawsim.experiments import (
     coverage_config,
     exp_active_vs_delta,
 )
+
+from oracles import mean_ideal_intersection
 
 RUNS = 15
 
@@ -99,7 +101,7 @@ def test_criterion_5_walk_terminal_uniform_on_k10():
     counts = np.zeros(n, dtype=int)
     for w in range(walks):
         start = w % n
-        msg = RWMessage(start, length, 1, start)
+        msg = RWMessage(start, length, start)
         while not hop(msg, known[msg.current], lambda _v, _t: True, 0.0,
                       rng.random()):
             pass
@@ -163,7 +165,7 @@ def test_criterion_10_view_policy_bounds():
     from hypothesis import given, settings
     from hypothesis import strategies as st
 
-    from rawsim.dissemination import SizeBased, TimeoutBased, View, ViewEntry
+    from rawsim.dissemination import SizeBased, TimeoutBased, View
 
     events = st.lists(
         st.tuples(st.integers(0, 25), st.floats(0, 200, allow_nan=False)),
@@ -174,22 +176,22 @@ def test_criterion_10_view_policy_bounds():
     @settings(max_examples=200, deadline=None)
     @given(st.integers(1, 8), events)
     def size_bound(k, publishes):
-        view = View(owner=0, policy=SizeBased(k))
+        view = View(SizeBased(k))
         for origin, t in sorted(publishes, key=lambda p: p[1]):
-            view.publish(ViewEntry(origin, 1, t), now=t)
+            view.publish(origin, now=t)
             assert len(view) <= k
 
     @settings(max_examples=200, deadline=None)
     @given(st.floats(0.5, 80), events, st.floats(0, 100))
     def staleness_bound(tau, publishes, extra):
-        view = View(owner=0, policy=TimeoutBased(tau))
+        view = View(TimeoutBased(tau))
         times = sorted(t for _o, t in publishes)
         for (origin, _), t in zip(publishes, times):
-            view.publish(ViewEntry(origin, 1, t), now=t)
-            assert all(t - e.last_time <= tau for e in view.entries.values())
+            view.publish(origin, now=t)
+            assert all(t - last <= tau for last in view.entries.values())
         now = times[-1] + extra
         view.maintain(now)
-        assert all(now - e.last_time <= tau for e in view.entries.values())
+        assert all(now - last <= tau for last in view.entries.values())
 
     size_bound()
     staleness_bound()

@@ -10,10 +10,8 @@ from rawsim.dissemination import (
     SizeBased,
     TimeoutBased,
     View,
-    ViewEntry,
     hello_tick,
     hop,
-    mean_ideal_intersection,
     parse_view_policy,
     pick_next,
     resolve_rw_length,
@@ -21,6 +19,8 @@ from rawsim.dissemination import (
 from rawsim.dutycycle import awake_predicate
 from rawsim.engine import rng_stream
 from rawsim.errors import InvalidConfigError
+
+from oracles import mean_ideal_intersection
 
 
 def always_active(_node, _t):
@@ -76,7 +76,7 @@ def test_pick_next_timeout_neighbor_stalls():
 
 
 def test_hop_single_step_terminates_at_neighbor():
-    msg = RWMessage(origin=0, ttl=1, data_value=1, current=0)
+    msg = RWMessage(origin=0, ttl=1, current=0)
     done = hop(msg, [5], always_active, 0.0, 0.0)
     assert done
     assert msg.current == 5
@@ -85,7 +85,7 @@ def test_hop_single_step_terminates_at_neighbor():
 
 def test_hop_all_sleep_terminates_at_origin():
     # 3-node oracle: every pick stalls, ttl still drains one per step
-    msg = RWMessage(origin=0, ttl=5, data_value=1, current=0)
+    msg = RWMessage(origin=0, ttl=5, current=0)
     steps = 0
     while not hop(msg, [1, 2], always_sleep, 0.0, 0.5):
         steps += 1
@@ -95,7 +95,7 @@ def test_hop_all_sleep_terminates_at_origin():
 
 
 def test_hop_ttl_strictly_decreasing():
-    msg = RWMessage(origin=0, ttl=10, data_value=1, current=0)
+    msg = RWMessage(origin=0, ttl=10, current=0)
     seen = []
     done = False
     while not done:
@@ -107,7 +107,7 @@ def test_hop_ttl_strictly_decreasing():
 def test_hop_moves_only_to_listed_neighbors():
     rng = rng_stream(3, "walks")
     known = {0: [1, 2], 1: [0], 2: [0, 1]}
-    msg = RWMessage(origin=0, ttl=30, data_value=1, current=0)
+    msg = RWMessage(origin=0, ttl=30, current=0)
     done = False
     while not done:
         before = msg.current
@@ -125,7 +125,7 @@ def test_terminal_uniform_on_complete_graph():
     counts = np.zeros(n, dtype=int)
     for w in range(walks):
         start = w % n
-        msg = RWMessage(origin=start, ttl=length, data_value=1, current=start)
+        msg = RWMessage(origin=start, ttl=length, current=start)
         while not hop(msg, known[msg.current], always_active, 0.0, rng.random()):
             pass
         counts[msg.current] += 1
@@ -134,44 +134,44 @@ def test_terminal_uniform_on_complete_graph():
 
 
 def test_publish_insert_and_refresh():
-    view = View(owner=1, policy=SizeBased(5))
-    view.publish(ViewEntry(3, 1, 10.0), now=10.0)
+    view = View(SizeBased(5))
+    view.publish(3, now=10.0)
     assert len(view) == 1
-    view.publish(ViewEntry(3, 2, 20.0), now=20.0)
+    assert view.entries[3] == 10.0
+    view.publish(3, now=20.0)
     assert len(view) == 1
-    assert view.entries[3].last_time == 20.0
-    assert view.entries[3].data_value == 2
+    assert view.entries[3] == 20.0
 
 
 def test_size_based_evicts_oldest():
-    view = View(owner=1, policy=SizeBased(2))
-    view.publish(ViewEntry(3, 1, 1.0), now=1.0)
-    view.publish(ViewEntry(9, 1, 2.0), now=2.0)
-    view.publish(ViewEntry(41, 1, 3.0), now=3.0)
+    view = View(SizeBased(2))
+    view.publish(3, now=1.0)
+    view.publish(9, now=2.0)
+    view.publish(41, now=3.0)
     assert set(view.origins()) == {9, 41}
     assert len(view) == 2
 
 
 def test_size_based_eviction_tie_breaks_on_smaller_origin():
-    view = View(owner=1, policy=SizeBased(2))
-    view.publish(ViewEntry(8, 1, 5.0), now=5.0)
-    view.publish(ViewEntry(2, 1, 5.0), now=5.0)
-    view.publish(ViewEntry(5, 1, 6.0), now=6.0)
+    view = View(SizeBased(2))
+    view.publish(8, now=5.0)
+    view.publish(2, now=5.0)
+    view.publish(5, now=6.0)
     assert set(view.origins()) == {8, 5}
 
 
 def test_size_based_sqrt_cap():
-    view = View(owner=0, policy=SizeBased(10))
+    view = View(SizeBased(10))
     for origin in range(12):
-        view.publish(ViewEntry(origin, 1, float(origin)), now=float(origin))
+        view.publish(origin, now=float(origin))
     assert len(view) == 10
     assert set(view.origins()) == set(range(2, 12))  # the 2 oldest gone
 
 
 def test_timeout_based_boundary_is_closed():
-    view = View(owner=0, policy=TimeoutBased(20.0))
-    view.publish(ViewEntry(1, 1, 0.0), now=0.0)
-    view.publish(ViewEntry(2, 1, 5.0), now=5.0)
+    view = View(TimeoutBased(20.0))
+    view.publish(1, now=0.0)
+    view.publish(2, now=5.0)
     view.maintain(now=20.0)
     assert set(view.origins()) == {1, 2}  # aged exactly 20: kept
     view.maintain(now=25.0)
@@ -179,7 +179,7 @@ def test_timeout_based_boundary_is_closed():
 
 
 def test_hello_tick_updates_awake_neighbors():
-    tables = {i: NeighborTable(i) for i in range(3)}
+    tables = {i: NeighborTable() for i in range(3)}
     hello_tick(0, 5.0, [1, 2], always_active, tables)
     assert tables[1].known == [0]
     assert tables[2].known == [0]
@@ -188,21 +188,21 @@ def test_hello_tick_updates_awake_neighbors():
 
 
 def test_hello_tick_sleeping_receiver_unchanged():
-    tables = {i: NeighborTable(i) for i in range(2)}
+    tables = {i: NeighborTable() for i in range(2)}
     hello_tick(0, 1.0, [1], lambda node, _t: node == 0, tables)
     assert tables[1].known == []
     assert tables[1].members == set()
 
 
 def test_hello_tick_sleeping_sender_sends_nothing():
-    tables = {i: NeighborTable(i) for i in range(2)}
+    tables = {i: NeighborTable() for i in range(2)}
     hello_tick(0, 1.0, [1], always_sleep, tables)
     assert tables[1].known == []
     assert tables[1].members == set()
 
 
 def test_neighbor_table_no_duplicate_known_entries():
-    table = NeighborTable(0)
+    table = NeighborTable()
     table.hear(3)
     table.hear(3)
     assert table.known == [3]
@@ -225,9 +225,9 @@ def test_ideal_view_intersection_matches_formula():
     ),
 )
 def test_size_bound_never_exceeded(k, publishes):
-    view = View(owner=0, policy=SizeBased(k))
+    view = View(SizeBased(k))
     for origin, t in sorted(publishes, key=lambda p: p[1]):
-        view.publish(ViewEntry(origin, 1, t), now=t)
+        view.publish(origin, now=t)
         assert len(view) <= k
 
 
@@ -242,10 +242,10 @@ def test_size_bound_never_exceeded(k, publishes):
     st.floats(0, 60),
 )
 def test_staleness_bound_after_maintenance(tau, publishes, extra):
-    view = View(owner=0, policy=TimeoutBased(tau))
+    view = View(TimeoutBased(tau))
     times = sorted(t for _o, t in publishes)
     for (origin, _), t in zip(publishes, times):
-        view.publish(ViewEntry(origin, 1, t), now=t)
+        view.publish(origin, now=t)
     now = times[-1] + extra
     view.maintain(now)
-    assert all(now - e.last_time <= tau for e in view.entries.values())
+    assert all(now - t <= tau for t in view.entries.values())

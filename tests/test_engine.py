@@ -238,7 +238,7 @@ def replay_hellos(config, phases, horizon):
     period, t_active = to_ticks(config.period), to_ticks(config.t_active_s)
     awake = awake_predicate(phases, period, t_active)
     adjacency = build_topology(config).neighbors
-    tables = [dissemination.NeighborTable(i) for i in range(config.n)]
+    tables = [dissemination.NeighborTable() for _ in range(config.n)]
     for t, node in hello_schedule(phases, to_ticks(config.hello_interval_s), horizon):
         dissemination.hello_tick(node, t, adjacency[node], awake, tables)
     return tables
@@ -348,7 +348,7 @@ def test_run_without_hellos_builds_no_topology(monkeypatch):
     monkeypatch.setattr(engine, "build_topology", no_topology)
     cfg = quick_config(dissemination_enabled=False, sink_visits=20, sink_gap_s=1.0)
     trace = run(cfg)
-    # with no walks, a visit collects the visited node's own reading only
+    # with no walks, a visit collects the visited node's own origin only
     assert trace.sink_report.coverage == 1.0
     assert trace.active_counts.shape == (61,)
     assert trace.view_sizes.shape == (61, 20)

@@ -108,3 +108,21 @@ def test_run_sweep_deterministic_csv():
     header = a.splitlines()[0]
     assert header.startswith("delta,")
     assert header.endswith(",runs")
+
+
+@pytest.mark.parametrize("values", [("true", "false"), ("false", "true")])
+def test_run_sweep_columns_cover_every_value(values):
+    # a run without the sink reports no coverage or visits: its cells stay
+    # empty, whichever value comes first
+    base = SimConfig(n=10, horizon_s=30.0, sink_start_s=10.0, sink_gap_s=1.0,
+                     replications=1)
+    dataset = run_sweep("sink", base, "sink_enabled", values)
+    for metric in ("coverage", "visits"):
+        assert f"{metric}_mean" in dataset.columns
+        assert f"{metric}_stddev" in dataset.columns
+        cells = dict(zip(values, dataset.column(f"{metric}_mean")))
+        assert cells["false"] == ""
+        assert cells["true"] > 0
+    header, *rows = dataset.to_csv().splitlines()
+    assert len(rows) == 2
+    assert all(row.count(",") == header.count(",") for row in rows)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from rawsim.dissemination import SizeBased, View, ViewEntry
+from rawsim.dissemination import SizeBased, View
 from rawsim.engine import rng_stream
 from rawsim.errors import InvalidConfigError
 from rawsim.sink import (
@@ -44,14 +44,14 @@ def test_plan_rejects_zero_visits():
 
 
 def test_collect_includes_node_itself():
-    view = View(owner=7, policy=SizeBased(5))
+    view = View(SizeBased(5))
     assert collect_origins(7, view) == {7}
 
 
 def test_collect_merges_view_origins():
-    view = View(owner=7, policy=SizeBased(5))
+    view = View(SizeBased(5))
     for origin in (3, 9, 41):
-        view.publish(ViewEntry(origin, 1, 1.0), now=1.0)
+        view.publish(origin, now=1.0)
     report = SinkReport(n=100)
     report.record_visit(7, 10.0, collect_origins(7, view))
     assert report.known_origins == {7, 3, 9, 41}
