@@ -79,11 +79,9 @@ def _load_base_config(args):
             raise InvalidConfigError(f"--set expects KEY=VALUE, got {item!r}")
         key, _, value = item.partition("=")
         overrides[key.strip()] = value.strip()
-    if args.config:
-        config = load_config(args.config, overrides)
-    else:
-        mapping = dict(overrides)
-        config = SimConfig.from_mapping(mapping)
+    values = load_config(args.config) if args.config else {}
+    values.update(overrides)
+    config = SimConfig.from_mapping(values)
     if args.seed is not None:
         config = config.with_updates(seed=args.seed)
     return config

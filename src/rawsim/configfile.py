@@ -5,11 +5,17 @@ are SimConfig field names; every key can also be overridden on the CLI
 with --set key=value.
 """
 
-from .engine import SimConfig
 from .errors import InvalidConfigError
 
 
-def parse_config_text(text):
+def load_config(path):
+    """The file's values by key, as text; SimConfig.from_mapping parses
+    each one as its field's type."""
+    try:
+        with open(path) as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise InvalidConfigError(f"cannot read config {path}: {exc}") from exc
     values = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -27,15 +33,3 @@ def parse_config_text(text):
             raise InvalidConfigError(f"config line {lineno}: duplicate key {key!r}")
         values[key] = value.strip()
     return values
-
-
-def load_config(path, overrides):
-    try:
-        with open(path) as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise InvalidConfigError(f"cannot read config {path}: {exc}") from exc
-    values = parse_config_text(text)
-    values.update(overrides)
-    return SimConfig.from_mapping(values)
-

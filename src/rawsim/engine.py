@@ -3,11 +3,11 @@
 One engine instance is strictly single-threaded; replications are
 independent executions with consecutive seeds. All randomness comes from
 named Philox streams keyed by (seed, label), so e.g. changing the number
-of sink visits never perturbs placement or walk draws. Events dispatch in
-(time, sequence) order; the sequence counter is assigned at scheduling
-time, which makes equal-time dispatch order the scheduling order. Inside
-a run, time is integer ticks (dutycycle.to_ticks); configs, traces and
-outputs are in seconds.
+of sink visits never perturbs placement or walk draws. Hellos, launches
+and walk hops dispatch in (time, sequence) order, which makes equal-time
+dispatch order the scheduling order; views and sink visits are replayed
+from the loop's deposit log. Inside a run, time is integer ticks
+(dutycycle.to_ticks); configs, traces and outputs are in seconds.
 """
 
 import dataclasses
@@ -15,7 +15,7 @@ import heapq
 import json
 import math
 import zlib
-from collections import deque
+from collections import defaultdict, deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,7 +28,6 @@ from .errors import InvalidConfigError, SetupError
 
 EV_HELLO = 0
 EV_LAUNCH = 1
-EV_VISIT = 2
 
 
 def rng_stream(seed, label):
@@ -298,10 +297,11 @@ def run(config, topology=None):
     trace. A topology may be passed in to share placement across runs; it
     is built only if hellos or require_connected read it.
 
-    Walk hops wait in a FIFO queue, other events in a heap: every hop is
-    due hop_latency after the event being dispatched, whose time never
-    decreases, so the queue stays sorted by (time, seq). Every time in the
-    loop is an int number of ticks.
+    Walk hops wait in a FIFO queue, hellos and launches in a heap: every
+    hop is due hop_latency after the event being dispatched, whose time
+    never decreases, so the queue stays sorted by (time, seq). Every time
+    in the loop is an int number of ticks. No walk reads a view, so the
+    loop only logs deposits; views and sink visits are replayed after it.
 
     Hellos are dispatched only until neighbour discovery has settled, at
     max(phase) + lcm(hello_interval, U): every later hello repeats the one
@@ -328,24 +328,12 @@ def run(config, topology=None):
     awake = dutycycle.awake_predicate(phases, period, t_active)
     horizon = to_ticks(config.horizon_s)
 
-    tau = ticks.get("view_policy timeout")
-    policy = config.resolved_view_policy() if tau is None else TimeoutBased(tau)
-    views = [View(policy) for _ in range(n)]
     tables = known = draw = None      # read only by hellos and hops
     if config.dissemination_enabled:
         tables = [dissemination.NeighborTable() for _ in range(n)]
         known = [t.known for t in tables]  # aliases, grown by hello_tick
         draw = _draws(rng_stream(config.seed, "walks")).__next__
-    size_log = []                      # (time, node, view size) deltas
-
-    heap = []                          # (t, seq, kind, payload)
-    hops = deque()                     # (t, seq, msg), sorted as pushed
-    seq = 0
-
-    def schedule(t, kind, payload):
-        nonlocal seq
-        heapq.heappush(heap, (t, seq, kind, payload))
-        seq += 1
+    deposits = []                      # (tick, storage, origin), in tick order
 
     rw_length = config.resolved_rw_length()
     hop_latency = ticks["hop_latency_s"]
@@ -354,6 +342,7 @@ def run(config, topology=None):
 
     event_counts = {"hello": 0, "launch": 0, "hop": 0, "visit": 0}
 
+    heap = []                          # (t, seq, kind, node)
     # From max(phase) on, every node's awake state repeats with period U
     # and its hellos with period hello_interval. So a hello at t >= settled
     # meets the same awake pairs as its own hello lcm ticks earlier and
@@ -366,15 +355,70 @@ def run(config, topology=None):
         event_counts["hello"] = sum(
             (horizon - s) // hello_interval + 1 for s in starts if s <= horizon
         )
-        for node in range(n):
-            if starts[node] <= horizon:
-                schedule(starts[node], EV_HELLO, node)
-        for node in range(n):
-            if starts[node] <= horizon:
-                schedule(starts[node], EV_LAUNCH, node)
+        # the first hellos take seqs before the first launches
+        live = [node for node in range(n) if starts[node] <= horizon]
+        first = [(kind, node) for kind in (EV_HELLO, EV_LAUNCH) for node in live]
+        heap = [(starts[node], seq, kind, node) for seq, (kind, node) in enumerate(first)]
+        heapq.heapify(heap)
+    seq = len(heap)
+
+    launches = 0
+    launch_skips = 0
+    dropped = 0
+    hop_events = 0
+
+    pop = heapq.heappop
+    push = heapq.heappush
+    hops = deque()                     # (t, seq, msg), sorted as pushed
+    next_hop = hops.popleft
+    push_hop = hops.append
+    log = deposits.append
+    while True:
+        # seq is unique, so comparing entries never reaches the payload
+        if hops and (not heap or hops[0] < heap[0]):
+            t, _, msg = next_hop()
+            hop_events += 1
+            if dissemination.hop(msg, known[msg.current], awake, t, draw()):
+                log((t, msg.current, msg.origin))
+            else:
+                nxt = t + hop_latency
+                if nxt <= horizon:
+                    push_hop((nxt, seq, msg))
+                    seq += 1
+                else:
+                    dropped += 1
+            continue
+        if not heap:
+            break
+        t, _, kind, node = pop(heap)
+        if kind == EV_HELLO:
+            dissemination.hello_tick(node, t, adjacency[node], awake, tables)
+            nxt = t + hello_interval
+            if nxt < hello_end:
+                push(heap, (nxt, seq, EV_HELLO, node))
+                seq += 1
+        else:  # EV_LAUNCH
+            event_counts["launch"] += 1
+            if awake(node, t):
+                launches += 1
+                nxt = t + hop_latency
+                if rw_length == 0:
+                    log((t, node, node))
+                elif nxt <= horizon:
+                    push_hop((nxt, seq, RWMessage(node, rw_length, node)))
+                    seq += 1
+                else:
+                    dropped += 1
+            else:
+                launch_skips += 1
+            nxt = t + advertise_period
+            if nxt <= horizon:
+                push(heap, (nxt, seq, EV_LAUNCH, node))
+                seq += 1
+    event_counts["hop"] = hop_events
 
     report = None
-    plan = None
+    visits = []                        # (tick, node, time in seconds)
     if config.sink_enabled and horizon > 0:
         plan = sink.plan_random_visits(
             n,
@@ -384,86 +428,47 @@ def run(config, topology=None):
             rng_stream(config.seed, "sink"),
         )
         report = sink.SinkReport(n=n)
-        for idx, t in enumerate(to_ticks(plan.times).tolist()):
-            if t <= horizon:
-                schedule(t, EV_VISIT, idx)
+        visits = [
+            v for v in zip(to_ticks(plan.times).tolist(), plan.nodes, plan.times)
+            if v[0] <= horizon
+        ]
+        event_counts["visit"] = len(visits)
 
-    launches = 0
-    depositions = 0
-    launch_skips = 0
-    hop_events = 0
-
-    def deposit(storage, origin, t):
-        nonlocal depositions
-        view = views[storage]
-        view.publish(origin, t)
-        depositions += 1
-        size_log.append((t, storage, len(view)))
-
-    pop = heapq.heappop
-    push = heapq.heappush
-    next_hop = hops.popleft
-    push_hop = hops.append
-    while True:
-        # seq is unique, so comparing entries never reaches the payload
-        if hops and (not heap or hops[0] < heap[0]):
-            t, _, msg = next_hop()
-            hop_events += 1
-            if dissemination.hop(msg, known[msg.current], awake, t, draw()):
-                deposit(msg.current, msg.origin, t)
-            else:
-                nxt = t + hop_latency
-                if nxt <= horizon:  # otherwise dropped at horizon, counted below
-                    push_hop((nxt, seq, msg))
-                    seq += 1
-            continue
-        if not heap:
+    # One replay of the deposit log and the visits, in tick order, builds
+    # the views, the sink report and the view-size changes. At equal ticks
+    # a visit comes first, as if visits were heap events scheduled before
+    # the loop: every hop and every repeat launch would then come after a
+    # visit at its tick. The one other deposit is a first launch with
+    # rw_length 0, and that node's view only ever holds its own origin,
+    # which every visit to it collects anyway. A node gets a view only once
+    # something is deposited there or it is visited.
+    tau = ticks.get("view_policy timeout")
+    policy = config.resolved_view_policy() if tau is None else TimeoutBased(tau)
+    views = defaultdict(lambda: View(policy))
+    size_log = []                      # (tick, node, view size) changes
+    depositions = len(deposits)
+    deposits.reverse()                 # popped in tick order, freed once published
+    # a last visit at infinity publishes the deposits after the real ones
+    for t_visit, node, time in visits + [(math.inf, None, None)]:
+        while deposits and deposits[-1][0] < t_visit:
+            t, storage, origin = deposits.pop()
+            view = views[storage]
+            view.publish(origin, t)
+            size_log.append((t, storage, len(view)))
+        if node is None:
             break
-        t, _, kind, payload = pop(heap)
-        if kind == EV_HELLO:
-            node = payload
-            dissemination.hello_tick(node, t, adjacency[node], awake, tables)
-            nxt = t + hello_interval
-            if nxt < hello_end:
-                push(heap, (nxt, seq, EV_HELLO, node))
-                seq += 1
-        elif kind == EV_LAUNCH:
-            event_counts["launch"] += 1
-            node = payload
-            if awake(node, t):
-                launches += 1
-                if rw_length == 0:
-                    deposit(node, node, t)
-                else:
-                    msg = RWMessage(node, rw_length, node)
-                    nxt = t + hop_latency
-                    if nxt <= horizon:
-                        push_hop((nxt, seq, msg))
-                        seq += 1
-            else:
-                launch_skips += 1
-            nxt = t + advertise_period
-            if nxt <= horizon:
-                push(heap, (nxt, seq, EV_LAUNCH, node))
-                seq += 1
-        else:  # EV_VISIT
-            event_counts["visit"] += 1
-            node = plan.nodes[payload]
-            if config.sink_wake_sleeping or awake(node, t):
-                view = views[node]
-                view.maintain(t)
-                size_log.append((t, node, len(view)))
-                origins = sink.collect_origins(node, view)
-            else:
-                origins = set()
-            report.record_visit(node, plan.times[payload], origins)
-    event_counts["hop"] = hop_events
+        origins = set()
+        if config.sink_wake_sleeping or awake(node, t_visit):
+            view = views[node]
+            view.maintain(t_visit)
+            size_log.append((t_visit, node, len(view)))
+            origins = sink.collect_origins(node, view)
+        report.record_visit(node, time, origins)
 
     times = np.arange(0.0, math.floor(config.horizon_s) + 1.0)
     samples = to_ticks(times)
     active = kernels.active_counts(phases, period, t_active, samples)
     view_sizes = _view_size_series(size_log, samples, n)
-    dropped = launches - depositions
 
     return RunTrace(
         config=config,

@@ -97,8 +97,31 @@ def test_conservation_on_quiescent_run():
 
 
 def test_walk_accounting_identity_always_holds():
-    trace = run(SimConfig(seed=11))
-    assert trace.launches == trace.depositions + trace.dropped_in_flight
+    # dropped_in_flight counts the walks whose next step falls after the
+    # horizon, not launches minus depositions. With 5 s hops, walks
+    # launched in the last 5 s drop at launch and earlier ones mid-walk.
+    for cfg in (
+        SimConfig(seed=11),
+        SimConfig(seed=11, hop_latency_s=5.0, rw_length="4", horizon_s=100.0),
+    ):
+        trace = run(cfg)
+        assert trace.dropped_in_flight > 0
+        assert trace.launches == trace.depositions + trace.dropped_in_flight
+
+
+def test_run_that_neither_deposits_nor_visits_builds_no_view(monkeypatch):
+    from rawsim import dissemination, engine
+
+    built = []
+
+    def counted_view(policy):
+        built.append(policy)
+        return dissemination.View(policy)
+
+    monkeypatch.setattr(engine, "View", counted_view)
+    trace = run(active_sweep_config(50, horizon=60.0, seed=42))
+    assert trace.depositions == 0 and trace.sink_report is None
+    assert built == []
 
 
 def test_zero_length_walks_store_self_and_full_visit_covers_all():

@@ -49,6 +49,9 @@ GOLDEN_TIES = {
     ("dense", 0.25, "8"): "f96fa1742b5b4661df676ed3d953aad8f7b3fdef6d7484bd98a6c94a4ab15d4a",
     ("dense", 0.5, "8"): "8b85fb2a890264e62a51b1d156d1a9002ba78b916ba9bea7fe5778ae19c2a049",
     ("dense", 1.5, "15"): "c531a79a73d634ee9e20080d77a29ccced3ccb1cd1b179284bc59c7e87e6bbee",
+    # 20 hops of 0.5 s end exactly on the sink's visit ticks, so this pins
+    # that a visit collects before the deposits of its own tick
+    ("all-active", 0.5, "20"): "fd4979c62d9cba1a3602069f997d9a560d26432130fa4a0b242b33ac38980602",
 }
 
 
@@ -72,6 +75,23 @@ def test_golden_equal_time_order_is_bit_exact(variant, latency, rw_length):
     text = trace.summary_json() + trace.sink_csv() + trace.samples_csv()
     expected = GOLDEN_TIES[(variant, latency, rw_length)]
     assert hashlib.sha256(text.encode()).hexdigest() == expected
+
+
+# Zero-length walks with every phase at the first visit's tick: every
+# first launch deposits at the tick of the first visit.
+GOLDEN_FIRST_VISIT_DEPOSITS = (
+    "e25b925f39768773f715bad21b4200e96dd64ab435f90aeee53362332c6508b0"
+)
+
+
+def test_golden_deposits_at_a_visit_tick_are_bit_exact():
+    cfg = coverage_config("normal", seed=42).with_updates(
+        n=30, horizon_s=120.0, sink_start_s=20.0, rw_length="0",
+        timeout_min_s=20.0, timeout_max_s=20.0,
+    )
+    trace = run(cfg)
+    text = trace.summary_json() + trace.sink_csv() + trace.samples_csv()
+    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_FIRST_VISIT_DEPOSITS
 
 
 # The active-node analysis: a small delta sweep, and a run at delta 0.9
