@@ -1,12 +1,14 @@
-"""Deterministic discrete-event core.
+"""Deterministic simulation core.
 
 One engine instance is strictly single-threaded; replications are
 independent executions with consecutive seeds. All randomness comes from
 named Philox streams keyed by (seed, label), so e.g. changing the number
 of sink visits never perturbs placement or walk draws. Hellos, launches
-and walk hops dispatch in (time, sequence) order, which makes equal-time
-dispatch order the scheduling order; views and sink visits are replayed
-from the loop's deposit log. Inside a run, time is integer ticks
+and walk hops are dispatched in the order of one (time, sequence) event
+queue, computed in closed form by dispatch: launches and hops fall on
+fixed grids, and every equal-time tie follows from how the queue would
+have numbered events (see dispatch). Views and sink visits are replayed
+from the deposit log. Inside a run, time is integer ticks
 (dutycycle.to_ticks); configs, traces and outputs are in seconds.
 """
 
@@ -15,7 +17,7 @@ import heapq
 import json
 import math
 import zlib
-from collections import defaultdict, deque
+from collections import defaultdict
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,10 +27,6 @@ from .dissemination import (
     RWMessage, TimeoutBased, View, parse_view_policy, resolve_rw_length,
 )
 from .errors import InvalidConfigError, SetupError
-
-EV_HELLO = 0
-EV_LAUNCH = 1
-
 
 def rng_stream(seed, label):
     """Independent Philox stream for one purpose within one run."""
@@ -92,12 +90,21 @@ class SimConfig:
             )
         # validate eagerly so bad configs fail before a run starts
         self.resolved_rw_length()
+        ticks = {}
         for name, seconds in self.tick_durations().items():
-            if dutycycle.to_ticks(seconds) < 1:
+            ticks[name] = dutycycle.to_ticks(seconds)
+            if ticks[name] < 1:
                 raise InvalidConfigError(
                     f"{name} must be at least one tick ({dutycycle.TICK_S:g} s), "
                     f"got {seconds}"
                 )
+        # dispatch orders equal-tick hops on the assumption that a node's
+        # next launch comes after its walk's first hop
+        if ticks["hop_latency_s"] >= ticks["advertise_period_s"]:
+            raise InvalidConfigError(
+                f"hop_latency_s must be shorter than the advertise period, got "
+                f"{self.hop_latency_s} >= {self.resolved_advertise_period()}"
+            )
         if self.sink_enabled and self.resolved_sink_visits() < 1:
             raise InvalidConfigError("sink_visits must be >= 1")
         if self.sink_gap_s < 0 or self.sink_start_s < 0:
@@ -285,11 +292,190 @@ def build_topology(config):
     return topo.build_adjacency(positions, config.radio_range)
 
 
-def _draws(rng, chunk=1024):
-    """Uniform [0, 1) draws from one generator, as Python floats; the
-    values do not depend on the chunk size."""
-    while True:
-        yield from rng.random(chunk).tolist()
+BLOCK = 1024                           # hops per block, about
+
+
+@dataclass
+class Dispatch:
+    """What dispatching hellos, launches and hops hands to the rest of a
+    run."""
+    deposits: list                     # (tick, storage, origin), in dispatch order
+    launch_events: int
+    launches: int
+    hops: int
+    dropped: int
+
+
+def launch_schedule(phases, awake, horizon, advertise_period):
+    """Every launch up to the horizon, in dispatch order: by tick, then
+    later phase first, then node id. Returns the number of launch events
+    and the ticks and origins of the walks launched, as int64 arrays; a
+    node launches iff it is awake at the launch tick."""
+    n = len(phases)
+    phase = np.asarray(phases, dtype=np.int64)
+    nodes = np.lexsort((np.arange(n), -phase))
+    nodes = nodes[phase[nodes] <= horizon]
+    rounds = (horizon - phase[nodes]) // advertise_period + 1
+    node = np.repeat(nodes, rounds)
+    m = np.arange(node.size) - np.repeat(np.cumsum(rounds) - rounds, rounds)
+    tick = phase[node] + m * advertise_period
+    order = np.argsort(tick, kind="stable")
+    node, tick = node[order], tick[order]
+    up = np.array([awake(v, t) for v, t in zip(node.tolist(), tick.tolist())], dtype=bool)
+    return node.size, tick[up], node[up]
+
+
+def hop_windows(start, made, hop_latency):
+    """Split the hops of the walks launched at the ascending ticks start,
+    walk i making made[i] hops, into tick windows [a, b) of about BLOCK
+    hops. Yields (a, lo, hi, first, count) for each window with hops:
+    walks lo..hi-1 hop there, walk lo + i count[i] times from its hop
+    first[i] on."""
+    reach = int(made.max(initial=0)) * hop_latency  # a walk's hops fall in (T, T + reach]
+    last_tick = int((start + made * hop_latency).max(initial=-1, where=made > 0))
+    width = 1                          # window width, in hop latencies
+    a = 0
+    while a <= last_tick:
+        lo = int(np.searchsorted(start, a - reach))  # earlier walks have ended
+        while True:
+            b = min(a + width * hop_latency, last_tick + 1)
+            hi = int(np.searchsorted(start, b - hop_latency))  # later ones hop from b on
+            launched = start[lo:hi]
+            first = np.maximum(1, (a - 1 - launched) // hop_latency + 1)
+            last = np.minimum(made[lo:hi], (b - 1 - launched) // hop_latency)
+            count = np.maximum(last - first + 1, 0)
+            size = int(count.sum())
+            if size <= 2 * BLOCK or width == 1:
+                break
+            width = max(1, width * BLOCK // size)
+        if lo == hi:                   # nothing in flight: on to the next walk
+            a = int(start[hi]) + hop_latency
+            continue
+        if size:
+            yield a, lo, hi, first, count
+            width = max(1, width * BLOCK // size)
+        a = b
+
+
+def dispatch(phases, awake, adjacency, ticks, horizon, rw_length, rng):
+    """Dispatch every hello, launch and walk hop of a run up to the
+    horizon. Returns the deposit log and the walk counters; the hellos
+    fill the neighbour tables that the hops read.
+
+    A run dispatches events in (tick, seq) order, where seq numbers events
+    in the order they are scheduled, and each event is scheduled by the one
+    being dispatched: a hello schedules the node's next hello, a launch its
+    walk's first hop and then the node's next launch, a hop the walk's next
+    hop. The first hellos and then the first launches take the lowest seqs.
+    So of two events at one tick, the one whose scheduling event was
+    dispatched first comes first; following both chains of scheduling
+    events back gives every tie rule below in closed form.
+
+    - Launches fall at phase + m*advertise_period (launch_schedule). At
+      equal ticks the later phase goes first, as its chain reaches a first
+      launch sooner, then the node id.
+    - Walk w, launched at T_w, makes hop k at T_w + k*hop_latency for
+      k <= min(rw_length, (horizon - T_w) // hop_latency); a walk that
+      makes fewer than rw_length hops is dropped in flight. At equal ticks
+      the later-launched walk hops first: its chain meets the other walk's
+      at its own launch, scheduled one advertise period earlier than the
+      other walk's hop at that tick was scheduled (hop_latency <
+      advertise_period). Walks launched at one tick follow launch order.
+      The j-th hop takes the j-th draw of rng.
+    - Hellos, of which only those before discovery settles are dispatched,
+      go (tick, later phase first, node id), as launches do. A hello comes
+      before a hop at its tick if it is its sender's first one (the first
+      hellos take the lowest seqs), if hello_interval > hop_latency (it was
+      scheduled earlier), or if the two are equal and the sender's phase
+      is at or after the walk's launch tick (its chain reaches a first
+      hello no later than the hop's reaches its launch).
+    - A terminating hop deposits at its tick; with rw_length 0 every walk
+      deposits at its launch. The log is in dispatch order.
+
+    Hops are made in blocks of about BLOCK: the walks in flight in a tick
+    window, found by searchsorted on launch ticks, are expanded to their
+    hops there and sorted once. Each block draws its picks in one call;
+    successive calls of one generator give the same values as one long
+    one. A walk's RWMessage exists from its first block to its last.
+    Times are Python ints and picks Python floats in the hop loop.
+    """
+    n = len(phases)
+    hello_interval = ticks["hello_interval_s"]
+    hop_latency = ticks["hop_latency_s"]
+    hello_tick, hop = dissemination.hello_tick, dissemination.hop
+    tables = [dissemination.NeighborTable() for _ in range(n)]
+    known = [t.known for t in tables]  # aliases, grown by hello_tick
+
+    # From max(phase) on, every node's awake state repeats with period U
+    # and its hellos with period hello_interval. So a hello at t >= settled
+    # meets the same awake pairs as its own hello lcm ticks earlier and
+    # hears only senders already known; such hellos are not dispatched.
+    settled = max(phases) + math.lcm(hello_interval, ticks["period"])
+    hello_end = min(settled, horizon + 1)
+    heap = [(p, -p, node) for node, p in enumerate(phases) if p <= horizon]
+    heapq.heapify(heap)
+
+    def hellos_before(bound):
+        """Dispatch the pending hellos that sort before bound."""
+        while heap and heap[0] < bound:
+            t, later, node = heapq.heappop(heap)
+            hello_tick(node, t, adjacency[node], awake, tables)
+            if t + hello_interval < hello_end:
+                heapq.heappush(heap, (t + hello_interval, later, node))
+
+    launch_events, start, origin = launch_schedule(
+        phases, awake, horizon, ticks["advertise_period_s"]
+    )
+    made = np.minimum(rw_length, (horizon - start) // hop_latency)  # hops per walk
+    deposits = []
+    if rw_length == 0:
+        deposits = list(zip(start.tolist(), origin.tolist(), origin.tolist()))
+    log = deposits.append
+    msgs = np.empty(start.size, dtype=object)  # RWMessages of the walks in flight
+    ended = entered = 0
+    for a, lo, hi, first, count in hop_windows(start, made, hop_latency):
+        msgs[ended:lo] = None
+        msgs[entered:hi] = [RWMessage(o, rw_length, o) for o in origin[entered:hi].tolist()]
+        ended, entered = lo, hi
+        size = int(count.sum())
+        walks = hi - lo
+        launched = start[lo:hi]
+        walk = np.repeat(np.arange(walks), count)
+        step = first[walk] + np.arange(size) - np.repeat(np.cumsum(count) - count, count)
+        when = launched[walk] + step * hop_latency
+        # equal ticks: the later-launched walk first, then launch order
+        rank = (
+            walks - np.searchsorted(launched, launched, "right")
+            + np.arange(walks) - np.searchsorted(launched, launched, "left")
+        )
+        order = np.argsort((when - a) * walks + rank[walk])
+        walk, when = walk[order], when[order]
+        block = zip(msgs[lo:hi][walk].tolist(), when.tolist(), rng.random(size).tolist())
+        if not heap:
+            for msg, t, pick in block:
+                if hop(msg, known[msg.current], awake, t, pick):
+                    log((t, msg.current, msg.origin))
+            continue
+        # hellos still pending: one at a hop's tick goes first iff its
+        # sender's phase is at least min_phase
+        if hello_interval > hop_latency:
+            min_phase = np.full(size, -1)
+        elif hello_interval == hop_latency:
+            min_phase = launched[walk]
+        else:
+            min_phase = when
+        for (msg, t, pick), key in zip(block, (-min_phase).tolist()):
+            hellos_before((t, key, n))
+            if hop(msg, known[msg.current], awake, t, pick):
+                log((t, msg.current, msg.origin))
+    hellos_before((math.inf,))
+    return Dispatch(
+        deposits=deposits,
+        launch_events=launch_events,
+        launches=int(start.size),
+        hops=int(made.sum()),
+        dropped=int(np.count_nonzero(made < rw_length)),
+    )
 
 
 def run(config, topology=None):
@@ -297,11 +483,15 @@ def run(config, topology=None):
     trace. A topology may be passed in to share placement across runs; it
     is built only if hellos or require_connected read it.
 
-    Walk hops wait in a FIFO queue, hellos and launches in a heap: every
-    hop is due hop_latency after the event being dispatched, whose time
-    never decreases, so the queue stays sorted by (time, seq). Every time
-    in the loop is an int number of ticks. No walk reads a view, so the
-    loop only logs deposits; views and sink visits are replayed after it.
+    dispatch makes the hellos, launches and walk hops in the order of one
+    (tick, seq) event queue without keeping one for hops: a node launches
+    at phase + m*advertise_period if awake, and a walk launched at T makes
+    hop k at T + k*hop_latency. Equal ticks go later-launched walk first
+    (its launch was scheduled an advertise period, the other hop only a
+    hop latency, before), then launch order; a hello at a hop's tick goes
+    first when it was scheduled first (see dispatch). Every time in a run
+    is an int number of ticks. No walk reads a view, so dispatch only logs
+    deposits; views and sink visits are replayed after it.
 
     Hellos are dispatched only until neighbour discovery has settled, at
     max(phase) + lcm(hello_interval, U): every later hello repeats the one
@@ -328,94 +518,20 @@ def run(config, topology=None):
     awake = dutycycle.awake_predicate(phases, period, t_active)
     horizon = to_ticks(config.horizon_s)
 
-    tables = known = draw = None      # read only by hellos and hops
-    if config.dissemination_enabled:
-        tables = [dissemination.NeighborTable() for _ in range(n)]
-        known = [t.known for t in tables]  # aliases, grown by hello_tick
-        draw = _draws(rng_stream(config.seed, "walks")).__next__
-    deposits = []                      # (tick, storage, origin), in tick order
-
-    rw_length = config.resolved_rw_length()
-    hop_latency = ticks["hop_latency_s"]
-    hello_interval = ticks["hello_interval_s"]
-    advertise_period = ticks["advertise_period_s"]
-
     event_counts = {"hello": 0, "launch": 0, "hop": 0, "visit": 0}
-
-    heap = []                          # (t, seq, kind, node)
-    # From max(phase) on, every node's awake state repeats with period U
-    # and its hellos with period hello_interval. So a hello at t >= settled
-    # meets the same awake pairs as its own hello lcm ticks earlier and
-    # hears only senders already known. Not dispatching these no-op events
-    # keeps the relative seq order of all the others.
+    walked = Dispatch(deposits=[], launch_events=0, launches=0, hops=0, dropped=0)
     if config.dissemination_enabled and horizon > 0:
         starts = phases.tolist()
-        settled = max(starts) + math.lcm(hello_interval, period)
-        hello_end = min(settled, horizon + 1)
         event_counts["hello"] = sum(
-            (horizon - s) // hello_interval + 1 for s in starts if s <= horizon
+            (horizon - s) // ticks["hello_interval_s"] + 1 for s in starts if s <= horizon
         )
-        # the first hellos take seqs before the first launches
-        live = [node for node in range(n) if starts[node] <= horizon]
-        first = [(kind, node) for kind in (EV_HELLO, EV_LAUNCH) for node in live]
-        heap = [(starts[node], seq, kind, node) for seq, (kind, node) in enumerate(first)]
-        heapq.heapify(heap)
-    seq = len(heap)
-
-    launches = 0
-    launch_skips = 0
-    dropped = 0
-    hop_events = 0
-
-    pop = heapq.heappop
-    push = heapq.heappush
-    hops = deque()                     # (t, seq, msg), sorted as pushed
-    next_hop = hops.popleft
-    push_hop = hops.append
-    log = deposits.append
-    while True:
-        # seq is unique, so comparing entries never reaches the payload
-        if hops and (not heap or hops[0] < heap[0]):
-            t, _, msg = next_hop()
-            hop_events += 1
-            if dissemination.hop(msg, known[msg.current], awake, t, draw()):
-                log((t, msg.current, msg.origin))
-            else:
-                nxt = t + hop_latency
-                if nxt <= horizon:
-                    push_hop((nxt, seq, msg))
-                    seq += 1
-                else:
-                    dropped += 1
-            continue
-        if not heap:
-            break
-        t, _, kind, node = pop(heap)
-        if kind == EV_HELLO:
-            dissemination.hello_tick(node, t, adjacency[node], awake, tables)
-            nxt = t + hello_interval
-            if nxt < hello_end:
-                push(heap, (nxt, seq, EV_HELLO, node))
-                seq += 1
-        else:  # EV_LAUNCH
-            event_counts["launch"] += 1
-            if awake(node, t):
-                launches += 1
-                nxt = t + hop_latency
-                if rw_length == 0:
-                    log((t, node, node))
-                elif nxt <= horizon:
-                    push_hop((nxt, seq, RWMessage(node, rw_length, node)))
-                    seq += 1
-                else:
-                    dropped += 1
-            else:
-                launch_skips += 1
-            nxt = t + advertise_period
-            if nxt <= horizon:
-                push(heap, (nxt, seq, EV_LAUNCH, node))
-                seq += 1
-    event_counts["hop"] = hop_events
+        walked = dispatch(
+            starts, awake, adjacency, ticks, horizon, config.resolved_rw_length(),
+            rng_stream(config.seed, "walks"),
+        )
+        event_counts["launch"] = walked.launch_events
+        event_counts["hop"] = walked.hops
+    deposits = walked.deposits
 
     report = None
     visits = []                        # (tick, node, time in seconds)
@@ -436,8 +552,8 @@ def run(config, topology=None):
 
     # One replay of the deposit log and the visits, in tick order, builds
     # the views, the sink report and the view-size changes. At equal ticks
-    # a visit comes first, as if visits were heap events scheduled before
-    # the loop: every hop and every repeat launch would then come after a
+    # a visit comes first, as if visits were queue events scheduled before
+    # any other: every hop and every repeat launch would then come after a
     # visit at its tick. The one other deposit is a first launch with
     # rw_length 0, and that node's view only ever holds its own origin,
     # which every visit to it collects anyway. A node gets a view only once
@@ -478,10 +594,10 @@ def run(config, topology=None):
         view_sizes=view_sizes,
         sink_report=report,
         event_counts=event_counts,
-        launches=launches,
+        launches=walked.launches,
         depositions=depositions,
-        launch_skips=launch_skips,
-        dropped_in_flight=dropped,
+        launch_skips=walked.launch_events - walked.launches,
+        dropped_in_flight=walked.dropped,
         phases=drawn,
     )
 

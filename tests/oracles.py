@@ -1,4 +1,6 @@
-"""Sampling oracles that tests compare the model's analytic values with."""
+"""Reference implementations that tests compare the model with: a sampling
+oracle for analytic values, and the event-queue dispatch that
+engine.dispatch must equal bit for bit."""
 
 
 def mean_ideal_intersection(n, k, pairs, rng):
@@ -10,3 +12,89 @@ def mean_ideal_intersection(n, k, pairs, rng):
         b = rng.choice(n, size=k, replace=False)
         total += len(set(a.tolist()) & set(b.tolist()))
     return total / pairs
+
+
+def dispatch(phases, awake, adjacency, ticks, horizon, rw_length, rng):
+    """Reference for engine.dispatch, with the same arguments and result:
+    one event at a time in (tick, seq) order. Hellos and launches wait in
+    a heap. Hops wait in a first-in-first-out queue, which stays sorted by
+    (tick, seq) because every hop is due hop_latency after the event being
+    dispatched, whose tick never decreases."""
+    import heapq
+    import math
+    from collections import deque
+
+    from rawsim import dissemination
+    from rawsim.engine import Dispatch
+
+    hello, launch = 0, 1
+    n = len(phases)
+    tables = [dissemination.NeighborTable() for _ in range(n)]
+    known = [t.known for t in tables]
+    draws = iter(())
+
+    def draw():
+        nonlocal draws
+        for pick in draws:
+            return pick
+        draws = iter(rng.random(1024).tolist())
+        return next(draws)
+
+    hop_latency = ticks["hop_latency_s"]
+    hello_interval = ticks["hello_interval_s"]
+    advertise_period = ticks["advertise_period_s"]
+    settled = max(phases) + math.lcm(hello_interval, ticks["period"])
+    hello_end = min(settled, horizon + 1)
+    # the first hellos take seqs before the first launches
+    live = [node for node in range(n) if phases[node] <= horizon]
+    first = [(kind, node) for kind in (hello, launch) for node in live]
+    heap = [(phases[node], seq, kind, node) for seq, (kind, node) in enumerate(first)]
+    heapq.heapify(heap)
+    seq = len(heap)
+
+    deposits = []
+    launch_events = launches = dropped = hops_made = 0
+    hops = deque()                     # (t, seq, msg), sorted as pushed
+    while True:
+        # seq is unique, so comparing entries never reaches the payload
+        if hops and (not heap or hops[0] < heap[0]):
+            t, _, msg = hops.popleft()
+            hops_made += 1
+            if dissemination.hop(msg, known[msg.current], awake, t, draw()):
+                deposits.append((t, msg.current, msg.origin))
+            elif t + hop_latency <= horizon:
+                hops.append((t + hop_latency, seq, msg))
+                seq += 1
+            else:
+                dropped += 1
+            continue
+        if not heap:
+            break
+        t, _, kind, node = heapq.heappop(heap)
+        if kind == hello:
+            dissemination.hello_tick(node, t, adjacency[node], awake, tables)
+            if t + hello_interval < hello_end:
+                heapq.heappush(heap, (t + hello_interval, seq, hello, node))
+                seq += 1
+            continue
+        launch_events += 1
+        if awake(node, t):
+            launches += 1
+            if rw_length == 0:
+                deposits.append((t, node, node))
+            elif t + hop_latency <= horizon:
+                msg = dissemination.RWMessage(node, rw_length, node)
+                hops.append((t + hop_latency, seq, msg))
+                seq += 1
+            else:
+                dropped += 1
+        if t + advertise_period <= horizon:
+            heapq.heappush(heap, (t + advertise_period, seq, launch, node))
+            seq += 1
+    return Dispatch(
+        deposits=deposits,
+        launch_events=launch_events,
+        launches=launches,
+        hops=hops_made,
+        dropped=dropped,
+    )

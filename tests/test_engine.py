@@ -5,6 +5,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rawsim import kernels
 from rawsim.dutycycle import to_ticks
@@ -38,14 +40,14 @@ def test_rng_streams_independent_by_label():
     assert (a != b).any()
 
 
-def test_walk_draws_do_not_depend_on_chunk_size():
-    from itertools import islice
-
-    from rawsim.engine import _draws
-
-    whole = rng_stream(42, "walks").random(5000).tolist()
-    for chunk in (1, 7, 1024, 4096):
-        assert list(islice(_draws(rng_stream(42, "walks"), chunk), 5000)) == whole
+@settings(max_examples=50, deadline=None)
+@given(st.lists(st.integers(0, 2000), max_size=12))
+def test_walk_draws_do_not_depend_on_chunk_size(sizes):
+    # dispatch draws each block's picks with one rng.random(size) call;
+    # block boundaries must not change the picks
+    whole = rng_stream(42, "walks").random(sum(sizes)).tolist()
+    rng = rng_stream(42, "walks")
+    assert [x for size in sizes for x in rng.random(size).tolist()] == whole
 
 
 def test_run_deterministic():
