@@ -325,38 +325,6 @@ def launch_schedule(phases, awake, horizon, advertise_period):
     return node.size, tick[up], node[up]
 
 
-def hop_windows(start, made, hop_latency):
-    """Split the hops of the walks launched at the ascending ticks start,
-    walk i making made[i] hops, into tick windows [a, b) of about BLOCK
-    hops. Yields (a, lo, hi, first, count) for each window with hops:
-    walks lo..hi-1 hop there, walk lo + i count[i] times from its hop
-    first[i] on."""
-    reach = int(made.max(initial=0)) * hop_latency  # a walk's hops fall in (T, T + reach]
-    last_tick = int((start + made * hop_latency).max(initial=-1, where=made > 0))
-    width = 1                          # window width, in hop latencies
-    a = 0
-    while a <= last_tick:
-        lo = int(np.searchsorted(start, a - reach))  # earlier walks have ended
-        while True:
-            b = min(a + width * hop_latency, last_tick + 1)
-            hi = int(np.searchsorted(start, b - hop_latency))  # later ones hop from b on
-            launched = start[lo:hi]
-            first = np.maximum(1, (a - 1 - launched) // hop_latency + 1)
-            last = np.minimum(made[lo:hi], (b - 1 - launched) // hop_latency)
-            count = np.maximum(last - first + 1, 0)
-            size = int(count.sum())
-            if size <= 2 * BLOCK or width == 1:
-                break
-            width = max(1, width * BLOCK // size)
-        if lo == hi:                   # nothing in flight: on to the next walk
-            a = int(start[hi]) + hop_latency
-            continue
-        if size:
-            yield a, lo, hi, first, count
-            width = max(1, width * BLOCK // size)
-        a = b
-
-
 def dispatch(phases, awake, adjacency, ticks, horizon, rw_length, rng):
     """Dispatch every hello, launch and walk hop of a run up to the
     horizon. Returns the deposit log and the walk counters; the hellos
@@ -392,12 +360,19 @@ def dispatch(phases, awake, adjacency, ticks, horizon, rw_length, rng):
     - A terminating hop deposits at its tick; with rw_length 0 every walk
       deposits at its launch. The log is in dispatch order.
 
-    Hops are made in blocks of about BLOCK: the walks in flight in a tick
-    window, found by searchsorted on launch ticks, are expanded to their
-    hops there and sorted once. Each block draws its picks in one call;
-    successive calls of one generator give the same values as one long
-    one. A walk's RWMessage exists from its first block to its last.
-    Times are Python ints and picks Python floats in the hop loop.
+    Hops go by hop-latency steps. With q0_w, r_w = divmod(T_w,
+    hop_latency), walk w hops once in each step q of (q0_w, q0_w + made_w],
+    at tick q*hop_latency + r_w. Within a step ticks ascend with r_w, and
+    equal ticks mean equal r_w, so the rules above order every step by one
+    fixed key per walk: (r_w, -T_w, launch index). A block is a range of
+    whole steps times the walks that can hop in it, found by searchsorted
+    on q0; it sorts those walks once, and its hops are the cells where a
+    walk hops, read step by step. A block spans BLOCK // (walks in flight)
+    steps, shrunk once if the walks launched in it make more than 2*BLOCK
+    cells. Each block draws its picks in one call; successive calls of
+    one generator give the same values as one long one. A walk's
+    RWMessage exists from its first block to its last. Times are Python
+    ints and picks Python floats in the hop loop.
     """
     n = len(phases)
     hello_interval = ticks["hello_interval_s"]
@@ -431,26 +406,32 @@ def dispatch(phases, awake, adjacency, ticks, horizon, rw_length, rng):
     if rw_length == 0:
         deposits = list(zip(start.tolist(), origin.tolist(), origin.tolist()))
     log = deposits.append
+    q0, offset = np.divmod(start, hop_latency)
+    last = q0 + made                   # walk w hops once in each step of (q0, last]
+    stop = int(last.max(initial=-1, where=made > 0))
     msgs = np.empty(start.size, dtype=object)  # RWMessages of the walks in flight
-    ended = entered = 0
-    for a, lo, hi, first, count in hop_windows(start, made, hop_latency):
+    ended = entered = qa = 0
+    while qa <= stop:
+        lo = int(np.searchsorted(q0, qa - rw_length))  # earlier walks have ended
+        qa = max(qa, int(q0[lo]) + 1)  # if none is in flight, the next walk's first hop
+        hi = int(np.searchsorted(q0, qa))  # walks lo..hi-1 are in flight at qa
+        steps = max(1, BLOCK // (hi - lo))
+        hi = int(np.searchsorted(q0, qa + steps - 1))  # later walks hop after the block
+        if steps * (hi - lo) > 2 * BLOCK:  # walks launched in the block: shrink once
+            steps = max(1, 2 * BLOCK // (hi - lo))
+            hi = int(np.searchsorted(q0, qa + steps - 1))
         msgs[ended:lo] = None
         msgs[entered:hi] = [RWMessage(o, rw_length, o) for o in origin[entered:hi].tolist()]
         ended, entered = lo, hi
-        size = int(count.sum())
-        walks = hi - lo
-        launched = start[lo:hi]
-        walk = np.repeat(np.arange(walks), count)
-        step = first[walk] + np.arange(size) - np.repeat(np.cumsum(count) - count, count)
-        when = launched[walk] + step * hop_latency
-        # equal ticks: the later-launched walk first, then launch order
-        rank = (
-            walks - np.searchsorted(launched, launched, "right")
-            + np.arange(walks) - np.searchsorted(launched, launched, "left")
-        )
-        order = np.argsort((when - a) * walks + rank[walk])
-        walk, when = walk[order], when[order]
-        block = zip(msgs[lo:hi][walk].tolist(), when.tolist(), rng.random(size).tolist())
+        # the order within a step; lexsort is stable, so launch order last
+        walks = lo + np.lexsort((-start[lo:hi], offset[lo:hi]))
+        step = np.arange(qa, qa + steps)[:, None]
+        qa += steps
+        cells = (q0[walks] < step) & (step <= last[walks])
+        when = (step * hop_latency + offset[walks])[cells]
+        walk = np.broadcast_to(walks, cells.shape)[cells]
+        size = when.size
+        block = zip(msgs[walk].tolist(), when.tolist(), rng.random(size).tolist())
         if not heap:
             for msg, t, pick in block:
                 if hop(msg, known[msg.current], awake, t, pick):
@@ -461,7 +442,7 @@ def dispatch(phases, awake, adjacency, ticks, horizon, rw_length, rng):
         if hello_interval > hop_latency:
             min_phase = np.full(size, -1)
         elif hello_interval == hop_latency:
-            min_phase = launched[walk]
+            min_phase = start[walk]
         else:
             min_phase = when
         for (msg, t, pick), key in zip(block, (-min_phase).tolist()):
@@ -484,14 +465,10 @@ def run(config, topology=None):
     is built only if hellos or require_connected read it.
 
     dispatch makes the hellos, launches and walk hops in the order of one
-    (tick, seq) event queue without keeping one for hops: a node launches
-    at phase + m*advertise_period if awake, and a walk launched at T makes
-    hop k at T + k*hop_latency. Equal ticks go later-launched walk first
-    (its launch was scheduled an advertise period, the other hop only a
-    hop latency, before), then launch order; a hello at a hop's tick goes
-    first when it was scheduled first (see dispatch). Every time in a run
-    is an int number of ticks. No walk reads a view, so dispatch only logs
-    deposits; views and sink visits are replayed after it.
+    (tick, seq) event queue without keeping one for hops; its docstring
+    gives the tie rules. Every time in a run is an int number of ticks. No
+    walk reads a view, so dispatch only logs deposits; views and sink
+    visits are replayed after it.
 
     Hellos are dispatched only until neighbour discovery has settled, at
     max(phase) + lcm(hello_interval, U): every later hello repeats the one

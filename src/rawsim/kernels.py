@@ -1,12 +1,6 @@
 """Numpy kernels for the array-heavy steps: disk-graph adjacency and the
 awake-node count over the sample grid.
 
-Besides these, only engine.dispatch works on arrays. It schedules walks
-in closed form: launches at phase + m*advertise_period, and hop k of a
-walk launched at T at T + k*hop_latency, ordered at equal ticks by the
-rules its docstring derives from the event queue's sequence numbers. It
-still makes each hop with one call of the scalar rule dissemination.hop.
-
 active_counts counts per duty-cycle window, not per (node, sample) cell.
 Phases, period, t_active and sample times are integer ticks, and the
 samples form an evenly spaced grid times[i] = t0 + i*step. The per-cell

@@ -82,15 +82,69 @@ EQUAL_PHASE_AND_LAUNCH = dict(
     horizon=85, rw_length=2, seed=0,
 )
 
+# Six nodes launch at tick 0, so at BLOCK = 1 each of their steps holds
+# more walks than 2*BLOCK and the block shrinks to one step.
+ALL_AT_PHASE_ZERO = dict(
+    phases=[0] * 6, period=10, t_active=4,
+    adjacency=[[v for v in range(6) if v != u] for u in range(6)],
+    ticks={"period": 10, "hello_interval_s": 2, "hop_latency_s": 2, "advertise_period_s": 7},
+    horizon=60, rw_length=5, seed=1,
+)
+
 
 @settings(max_examples=400, deadline=None)
 @given(small_schedules(), st.sampled_from([1, 2, 5, engine.BLOCK]))
 @example(EQUAL_PHASE_AND_LAUNCH, engine.BLOCK)
+@example(ALL_AT_PHASE_ZERO, 1)
 def test_dispatch_equals_the_reference_on_tied_schedules(schedule, block):
-    # small blocks split ticks across blocks and exercise the window search
+    # small blocks end at many step boundaries and take the shrink path; a
+    # step is never split across blocks
     with patched(engine, "BLOCK", block):
         closed = dispatched(engine.dispatch, **schedule)
     assert closed == dispatched(oracles.dispatch, **schedule)
+
+
+class RecordedDraws:
+    """Wraps a generator and records the size of every random call."""
+
+    def __init__(self, rng):
+        self.rng, self.sizes = rng, []
+
+    def random(self, size):
+        self.sizes.append(size)
+        return self.rng.random(size)
+
+
+def walk_draw_sizes(config):
+    """A run's event counts and the sizes of its "walks" draws."""
+    walks = []
+
+    def stream(seed, label):
+        if label != "walks":
+            return rng_stream(seed, label)
+        walks.append(RecordedDraws(rng_stream(seed, label)))
+        return walks[-1]
+
+    with patched(engine, "rng_stream", stream):
+        trace = run(config)
+    return trace.event_counts, walks[0].sizes
+
+
+@pytest.mark.parametrize("config", [
+    coverage_config("normal", seed=3).with_updates(horizon_s=200.0),
+    # every phase 0: 400 walks launch at one tick each period
+    coverage_config("all-active", seed=3).with_updates(n=400, horizon_s=40.0),
+], ids=["normal-n100", "all-active-n400"])
+def test_each_block_draws_at_most_twice_block(config):
+    counts, sizes = walk_draw_sizes(config)
+    assert 1 <= min(sizes) and max(sizes) <= 2 * engine.BLOCK
+    assert sum(sizes) == counts["hop"]
+
+
+def test_walks_that_make_no_hops_draw_nothing():
+    config = coverage_config("normal", seed=3).with_updates(horizon_s=200.0, rw_length="0")
+    counts, sizes = walk_draw_sizes(config)
+    assert counts["launch"] > 0 and sizes == []
 
 
 def outputs(config, fn):
