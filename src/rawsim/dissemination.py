@@ -1,5 +1,6 @@
-"""Node-side dissemination protocol: random-walk advertisement, hello-based
-neighbor discovery, and view management at storage motes.
+"""Node-side dissemination protocol: random-walk advertisement, neighbour
+discovery from hellos in closed form (discover), and view management at
+storage motes.
 
 A node advertises itself by launching a random walk carrying its id (the
 walk's origin). Every walk step consumes one ttl unit whether the walk
@@ -9,9 +10,13 @@ records <origin, time> in its view. A node's sensor reading is not
 modelled, because no metric reads it: coverage counts origins.
 """
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
+from . import kernels
 from .errors import InvalidConfigError
 
 
@@ -88,12 +93,6 @@ class NeighborTable:
     """Neighbors one node discovered through hello packets while awake."""
 
     known: list = field(default_factory=list)   # discovery order, for uniform picks
-    members: set = field(default_factory=set)
-
-    def hear(self, sender):
-        if sender not in self.members:
-            self.members.add(sender)
-            self.known.append(sender)
 
 
 @dataclass
@@ -129,14 +128,38 @@ def hop(msg, known, awake, t, pick):
     return msg.ttl <= 0
 
 
-def hello_tick(node, now, neighbors, awake, tables):
-    """One hello broadcast: an awake node is recorded by every awake
-    topological neighbor."""
-    if not awake(node, now):
-        return
-    for u in neighbors:
-        if awake(u, now):
-            tables[u].hear(node)
+def discover(phases, adjacency, ticks, horizon):
+    """Every first hearing of a hello, as (tick, -sender phase, sender,
+    receiver) in dispatch order. Phases, ticks and the horizon are integer
+    ticks; adjacency lists each node's neighbours in ascending order.
+
+    v sends its j-th hello at phase_v + j*hello_interval, and if v is awake
+    then, every topological neighbour awake then hears it. v is awake at
+    its own j-th hello iff j*hello_interval mod U < t_active, alike for
+    every node; only those j are visited, each over the directed edges not
+    yet heard. From max(phase) on, awake states repeat with period U and
+    hellos with period hello_interval, so no first hearing falls at or
+    after settled = max(phase) + lcm(hello_interval, U), or past the
+    horizon.
+    """
+    hello_interval, period = ticks["hello_interval_s"], ticks["period"]
+    t_active = ticks["t_active_s"]
+    phase = np.asarray(phases, dtype=np.int64)
+    end = min(int(phase.max()) + math.lcm(hello_interval, period), horizon + 1)
+    sender = np.repeat(np.arange(phase.size), [len(nb) for nb in adjacency])
+    receiver = np.fromiter(itertools.chain.from_iterable(adjacency), np.int64, sender.size)
+    edges = np.stack((sender, receiver))  # the directed edges not yet heard
+    offsets = np.arange(0, end - int(phase.min()), hello_interval)  # j*hello_interval
+    found = [np.empty((4, 0), dtype=np.int64)]
+    for offset in offsets[kernels.awake(offsets, period, t_active)].tolist():
+        t = phase[edges[0]] + offset
+        hears = (t < end) & kernels.awake(t - phase[edges[1]], period, t_active)
+        found.append(np.vstack((t, -phase[edges[0]], edges))[:, hears])
+        edges = edges[:, ~hears]
+        if not edges.size:
+            break
+    events = np.concatenate(found, axis=1)
+    return list(zip(*events[:, np.lexsort(events[::-1])].tolist()))
 
 
 def resolve_rw_length(spec, n):

@@ -37,7 +37,7 @@ def awake_predicate(phases, period, t_active):
 
     A node is awake once its phase has passed and t falls in the active
     part of its period; before its phase (the initial timeout) it is not.
-    kernels.active_counts is the same rule vectorized over nodes and times.
+    kernels.awake is the same rule vectorized; kernels.active_counts counts it.
     """
     phases = np.asarray(phases, dtype=np.int64).tolist()
 

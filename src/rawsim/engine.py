@@ -5,15 +5,13 @@ independent executions with consecutive seeds. All randomness comes from
 named Philox streams keyed by (seed, label), so e.g. changing the number
 of sink visits never perturbs placement or walk draws. Hellos, launches
 and walk hops are dispatched in the order of one (time, sequence) event
-queue, computed in closed form by dispatch: launches and hops fall on
-fixed grids, and every equal-time tie follows from how the queue would
-have numbered events (see dispatch). Views and sink visits are replayed
-from the deposit log. Inside a run, time is integer ticks
+queue, computed in closed form by dispatch; every equal-time tie follows
+from how the queue would have numbered events. Views and sink visits are
+replayed from the deposit log. Inside a run, time is integer ticks
 (dutycycle.to_ticks); configs, traces and outputs are in seconds.
 """
 
 import dataclasses
-import heapq
 import json
 import math
 import zlib
@@ -306,12 +304,12 @@ class Dispatch:
     dropped: int
 
 
-def launch_schedule(phases, awake, horizon, advertise_period):
+def launch_schedule(phases, ticks, horizon):
     """Every launch up to the horizon, in dispatch order: by tick, then
     later phase first, then node id. Returns the number of launch events
     and the ticks and origins of the walks launched, as int64 arrays; a
-    node launches iff it is awake at the launch tick."""
-    n = len(phases)
+    node launches iff it is awake at the launch tick (kernels.awake)."""
+    n, advertise_period = len(phases), ticks["advertise_period_s"]
     phase = np.asarray(phases, dtype=np.int64)
     nodes = np.lexsort((np.arange(n), -phase))
     nodes = nodes[phase[nodes] <= horizon]
@@ -321,14 +319,14 @@ def launch_schedule(phases, awake, horizon, advertise_period):
     tick = phase[node] + m * advertise_period
     order = np.argsort(tick, kind="stable")
     node, tick = node[order], tick[order]
-    up = np.array([awake(v, t) for v, t in zip(node.tolist(), tick.tolist())], dtype=bool)
+    up = kernels.awake(tick - phase[node], ticks["period"], ticks["t_active_s"])
     return node.size, tick[up], node[up]
 
 
 def dispatch(phases, awake, adjacency, ticks, horizon, rw_length, rng):
-    """Dispatch every hello, launch and walk hop of a run up to the
-    horizon. Returns the deposit log and the walk counters; the hellos
-    fill the neighbour tables that the hops read.
+    """Dispatch the first hearings of hellos (dissemination.discover),
+    the launches and the walk hops of a run up to the horizon. Returns the
+    deposit log and the walk counters.
 
     A run dispatches events in (tick, seq) order, where seq numbers events
     in the order they are scheduled, and each event is scheduled by the one
@@ -350,13 +348,12 @@ def dispatch(phases, awake, adjacency, ticks, horizon, rw_length, rng):
       other walk's hop at that tick was scheduled (hop_latency <
       advertise_period). Walks launched at one tick follow launch order.
       The j-th hop takes the j-th draw of rng.
-    - Hellos, of which only those before discovery settles are dispatched,
-      go (tick, later phase first, node id), as launches do. A hello comes
-      before a hop at its tick if it is its sender's first one (the first
-      hellos take the lowest seqs), if hello_interval > hop_latency (it was
-      scheduled earlier), or if the two are equal and the sender's phase
-      is at or after the walk's launch tick (its chain reaches a first
-      hello no later than the hop's reaches its launch).
+    - Hellos go (tick, later phase first, node id), as launches do. A
+      hello comes before a hop at its tick if it is its sender's first one
+      (the first hellos take the lowest seqs), if hello_interval >
+      hop_latency (it was scheduled earlier), or if the two are equal and
+      the sender's phase is at or after the walk's launch tick (its chain
+      reaches a first hello no later than the hop's reaches its launch).
     - A terminating hop deposits at its tick; with rw_length 0 every walk
       deposits at its launch. The log is in dispatch order.
 
@@ -368,39 +365,27 @@ def dispatch(phases, awake, adjacency, ticks, horizon, rw_length, rng):
     whole steps times the walks that can hop in it, found by searchsorted
     on q0; it sorts those walks once, and its hops are the cells where a
     walk hops, read step by step. A block spans BLOCK // (walks in flight)
-    steps, shrunk once if the walks launched in it make more than 2*BLOCK
-    cells. Each block draws its picks in one call; successive calls of
-    one generator give the same values as one long one. A walk's
-    RWMessage exists from its first block to its last. Times are Python
-    ints and picks Python floats in the hop loop.
+    steps, halved while more than 2*BLOCK hops fall in it. Each block
+    draws its picks in one call; successive calls of one generator give
+    the same values as one long one. A walk's RWMessage exists from its
+    first block to its last. Times are Python ints and picks Python floats
+    in the hop loop.
     """
     n = len(phases)
     hello_interval = ticks["hello_interval_s"]
     hop_latency = ticks["hop_latency_s"]
-    hello_tick, hop = dissemination.hello_tick, dissemination.hop
-    tables = [dissemination.NeighborTable() for _ in range(n)]
-    known = [t.known for t in tables]  # aliases, grown by hello_tick
+    hop = dissemination.hop
+    known = [dissemination.NeighborTable().known for _ in range(n)]  # grown by hear_before
+    heard = dissemination.discover(phases, adjacency, ticks, horizon)
+    heard.reverse()                    # popped in dispatch order
 
-    # From max(phase) on, every node's awake state repeats with period U
-    # and its hellos with period hello_interval. So a hello at t >= settled
-    # meets the same awake pairs as its own hello lcm ticks earlier and
-    # hears only senders already known; such hellos are not dispatched.
-    settled = max(phases) + math.lcm(hello_interval, ticks["period"])
-    hello_end = min(settled, horizon + 1)
-    heap = [(p, -p, node) for node, p in enumerate(phases) if p <= horizon]
-    heapq.heapify(heap)
+    def hear_before(bound):
+        """Record the first hearings that sort before bound."""
+        while heard and heard[-1] < bound:
+            _, _, sender, receiver = heard.pop()
+            known[receiver].append(sender)
 
-    def hellos_before(bound):
-        """Dispatch the pending hellos that sort before bound."""
-        while heap and heap[0] < bound:
-            t, later, node = heapq.heappop(heap)
-            hello_tick(node, t, adjacency[node], awake, tables)
-            if t + hello_interval < hello_end:
-                heapq.heappush(heap, (t + hello_interval, later, node))
-
-    launch_events, start, origin = launch_schedule(
-        phases, awake, horizon, ticks["advertise_period_s"]
-    )
+    launch_events, start, origin = launch_schedule(phases, ticks, horizon)
     made = np.minimum(rw_length, (horizon - start) // hop_latency)  # hops per walk
     deposits = []
     if rw_length == 0:
@@ -416,10 +401,12 @@ def dispatch(phases, awake, adjacency, ticks, horizon, rw_length, rng):
         qa = max(qa, int(q0[lo]) + 1)  # if none is in flight, the next walk's first hop
         hi = int(np.searchsorted(q0, qa))  # walks lo..hi-1 are in flight at qa
         steps = max(1, BLOCK // (hi - lo))
-        hi = int(np.searchsorted(q0, qa + steps - 1))  # later walks hop after the block
-        if steps * (hi - lo) > 2 * BLOCK:  # walks launched in the block: shrink once
-            steps = max(1, 2 * BLOCK // (hi - lo))
-            hi = int(np.searchsorted(q0, qa + steps - 1))
+        while True:
+            hi = int(np.searchsorted(q0, qa + steps - 1))  # later walks hop after the block
+            hops = np.minimum(last[lo:hi], qa + steps - 1) - np.maximum(q0[lo:hi], qa - 1)
+            if steps == 1 or hops.clip(0).sum() <= 2 * BLOCK:
+                break
+            steps //= 2                # walks launched in the block: halve it
         msgs[ended:lo] = None
         msgs[entered:hi] = [RWMessage(o, rw_length, o) for o in origin[entered:hi].tolist()]
         ended, entered = lo, hi
@@ -432,13 +419,13 @@ def dispatch(phases, awake, adjacency, ticks, horizon, rw_length, rng):
         walk = np.broadcast_to(walks, cells.shape)[cells]
         size = when.size
         block = zip(msgs[walk].tolist(), when.tolist(), rng.random(size).tolist())
-        if not heap:
+        if not heard:
             for msg, t, pick in block:
                 if hop(msg, known[msg.current], awake, t, pick):
                     log((t, msg.current, msg.origin))
             continue
-        # hellos still pending: one at a hop's tick goes first iff its
-        # sender's phase is at least min_phase
+        # first hearings still pending: one at a hop's tick goes first iff
+        # its sender's phase is at least min_phase
         if hello_interval > hop_latency:
             min_phase = np.full(size, -1)
         elif hello_interval == hop_latency:
@@ -446,10 +433,10 @@ def dispatch(phases, awake, adjacency, ticks, horizon, rw_length, rng):
         else:
             min_phase = when
         for (msg, t, pick), key in zip(block, (-min_phase).tolist()):
-            hellos_before((t, key, n))
+            hear_before((t, key, n))
             if hop(msg, known[msg.current], awake, t, pick):
                 log((t, msg.current, msg.origin))
-    hellos_before((math.inf,))
+    hear_before((math.inf,))
     return Dispatch(
         deposits=deposits,
         launch_events=launch_events,
@@ -464,16 +451,12 @@ def run(config, topology=None):
     trace. A topology may be passed in to share placement across runs; it
     is built only if hellos or require_connected read it.
 
-    dispatch makes the hellos, launches and walk hops in the order of one
-    (tick, seq) event queue without keeping one for hops; its docstring
-    gives the tie rules. Every time in a run is an int number of ticks. No
-    walk reads a view, so dispatch only logs deposits; views and sink
-    visits are replayed after it.
-
-    Hellos are dispatched only until neighbour discovery has settled, at
-    max(phase) + lcm(hello_interval, U): every later hello repeats the one
-    lcm earlier and adds no neighbour. event_counts["hello"] counts the
-    hellos sent up to the horizon, dispatched or not."""
+    dispatch makes the first hearings, launches and walk hops in the order
+    of one (tick, seq) event queue without keeping one; its docstring gives
+    the tie rules. Every time in a run is an int number of ticks. No walk
+    reads a view, so dispatch only logs deposits; views and sink visits are
+    replayed after it. event_counts["hello"] counts every hello sent up to
+    the horizon, in closed form."""
     n = config.n
     adjacency = ()
     if reads_topology(config):
@@ -490,20 +473,17 @@ def run(config, topology=None):
         rng_stream(config.seed, "phases"),
     )
     phases = to_ticks(drawn)
-    period = ticks["period"]
-    t_active = ticks["t_active_s"]
+    period, t_active = ticks["period"], ticks["t_active_s"]
     awake = dutycycle.awake_predicate(phases, period, t_active)
     horizon = to_ticks(config.horizon_s)
 
     event_counts = {"hello": 0, "launch": 0, "hop": 0, "visit": 0}
     walked = Dispatch(deposits=[], launch_events=0, launches=0, hops=0, dropped=0)
     if config.dissemination_enabled and horizon > 0:
-        starts = phases.tolist()
-        event_counts["hello"] = sum(
-            (horizon - s) // ticks["hello_interval_s"] + 1 for s in starts if s <= horizon
-        )
+        sending = phases[phases <= horizon]
+        event_counts["hello"] = int(((horizon - sending) // ticks["hello_interval_s"] + 1).sum())
         walked = dispatch(
-            starts, awake, adjacency, ticks, horizon, config.resolved_rw_length(),
+            phases, awake, adjacency, ticks, horizon, config.resolved_rw_length(),
             rng_stream(config.seed, "walks"),
         )
         event_counts["launch"] = walked.launch_events
@@ -514,10 +494,7 @@ def run(config, topology=None):
     visits = []                        # (tick, node, time in seconds)
     if config.sink_enabled and horizon > 0:
         plan = sink.plan_random_visits(
-            n,
-            config.resolved_sink_visits(),
-            config.sink_start_s,
-            config.sink_gap_s,
+            n, config.resolved_sink_visits(), config.sink_start_s, config.sink_gap_s,
             rng_stream(config.seed, "sink"),
         )
         report = sink.SinkReport(n=n)

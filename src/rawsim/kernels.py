@@ -1,5 +1,5 @@
-"""Numpy kernels for the array-heavy steps: disk-graph adjacency and the
-awake-node count over the sample grid.
+"""Numpy kernels for the array-heavy steps: disk-graph adjacency, the
+awake rule on arrays and the awake-node count over the sample grid.
 
 active_counts counts per duty-cycle window, not per (node, sample) cell.
 Phases, period, t_active and sample times are integer ticks, and the
@@ -38,15 +38,15 @@ def adjacency_csr(xs, ys, radio_range):
     return indptr, cols.astype(np.int64)
 
 
-def _awake(dt, period, t_active):
-    """The awake rule on offsets dt = t - phase, elementwise."""
+def awake(dt, period, t_active):
+    """dutycycle.awake_predicate on offsets dt = t - phase, elementwise."""
     return (dt >= 0) & (np.mod(dt, period) < t_active)
 
 
 def active_counts_per_cell(phases, period, t_active, times):
     """active_counts evaluated on every (sample, node) cell."""
     dt = times[:, None] - phases[None, :]
-    return _awake(dt, period, t_active).sum(axis=1).astype(np.int64)
+    return awake(dt, period, t_active).sum(axis=1).astype(np.int64)
 
 
 def active_counts(phases, period, t_active, times):

@@ -1,5 +1,6 @@
 """Reference implementations that tests compare the model with: a sampling
-oracle for analytic values, and the event-queue dispatch that
+oracle for analytic values, the scalar hello that
+dissemination.discover must equal, and the event-queue dispatch that
 engine.dispatch must equal bit for bit."""
 
 
@@ -14,12 +15,25 @@ def mean_ideal_intersection(n, k, pairs, rng):
     return total / pairs
 
 
+def hello_tick(node, now, neighbors, awake, known):
+    """One hello broadcast at tick now: an awake node is heard by every
+    awake topological neighbour u, and appended to known[u] unless u knew
+    it already. Returns the receivers that heard node for the first time."""
+    if not awake(node, now):
+        return []
+    first = [u for u in neighbors if awake(u, now) and node not in known[u]]
+    for u in first:
+        known[u].append(node)
+    return first
+
+
 def dispatch(phases, awake, adjacency, ticks, horizon, rw_length, rng):
     """Reference for engine.dispatch, with the same arguments and result:
     one event at a time in (tick, seq) order. Hellos and launches wait in
     a heap. Hops wait in a first-in-first-out queue, which stays sorted by
     (tick, seq) because every hop is due hop_latency after the event being
-    dispatched, whose tick never decreases."""
+    dispatched, whose tick never decreases. Hellos are dispatched until
+    discovery settles, at max(phase) + lcm(hello_interval, U)."""
     import heapq
     import math
     from collections import deque
@@ -72,7 +86,7 @@ def dispatch(phases, awake, adjacency, ticks, horizon, rw_length, rng):
             break
         t, _, kind, node = heapq.heappop(heap)
         if kind == hello:
-            dissemination.hello_tick(node, t, adjacency[node], awake, tables)
+            hello_tick(node, t, adjacency[node], awake, known)
             if t + hello_interval < hello_end:
                 heapq.heappush(heap, (t + hello_interval, seq, hello, node))
                 seq += 1

@@ -51,8 +51,10 @@ def small_schedules(draw):
     n = draw(st.integers(1, 6))
     period = draw(st.integers(2, 16))
     hop = draw(st.integers(1, 5))
+    t_active = draw(st.integers(1, period))
     ticks = {
         "period": period,
+        "t_active_s": t_active,
         "hello_interval_s": draw(st.one_of(st.just(hop), st.integers(1, 6))),
         "hop_latency_s": hop,
         "advertise_period_s": draw(st.integers(hop + 1, 20)),
@@ -65,7 +67,7 @@ def small_schedules(draw):
     return dict(
         phases=draw(st.lists(st.integers(0, 2 * period), min_size=n, max_size=n)),
         period=period,
-        t_active=draw(st.integers(1, period)),
+        t_active=t_active,
         adjacency=adjacency,
         ticks=ticks,
         horizon=draw(st.integers(1, 120)),
@@ -78,7 +80,8 @@ def small_schedules(draw):
 # sender's phase equal to the walk's launch tick: the hello goes first.
 EQUAL_PHASE_AND_LAUNCH = dict(
     phases=[5, 7, 8], period=5, t_active=3, adjacency=[[1, 2], [0, 2], [0, 1]],
-    ticks={"period": 5, "hello_interval_s": 3, "hop_latency_s": 3, "advertise_period_s": 8},
+    ticks={"period": 5, "t_active_s": 3, "hello_interval_s": 3, "hop_latency_s": 3,
+           "advertise_period_s": 8},
     horizon=85, rw_length=2, seed=0,
 )
 
@@ -87,7 +90,8 @@ EQUAL_PHASE_AND_LAUNCH = dict(
 ALL_AT_PHASE_ZERO = dict(
     phases=[0] * 6, period=10, t_active=4,
     adjacency=[[v for v in range(6) if v != u] for u in range(6)],
-    ticks={"period": 10, "hello_interval_s": 2, "hop_latency_s": 2, "advertise_period_s": 7},
+    ticks={"period": 10, "t_active_s": 4, "hello_interval_s": 2, "hop_latency_s": 2,
+           "advertise_period_s": 7},
     horizon=60, rw_length=5, seed=1,
 )
 
@@ -139,6 +143,9 @@ def test_each_block_draws_at_most_twice_block(config):
     counts, sizes = walk_draw_sizes(config)
     assert 1 <= min(sizes) and max(sizes) <= 2 * engine.BLOCK
     assert sum(sizes) == counts["hop"]
+    # blocks shrink by the hops in them, not by steps x walks, so a walk
+    # launched late in a block does not halve it
+    assert sum(sizes) / len(sizes) >= engine.BLOCK / 2
 
 
 def test_walks_that_make_no_hops_draw_nothing():
@@ -197,8 +204,8 @@ def test_equal_hello_and_hop_latency_tie_decides_the_storage_node(rw_length, wal
         period=10 * S,
         t_active=S,
         adjacency=[[1], [0]],
-        ticks={"period": 10 * S, "hello_interval_s": S // 4, "hop_latency_s": S // 4,
-               "advertise_period_s": 10 * S},
+        ticks={"period": 10 * S, "t_active_s": S, "hello_interval_s": S // 4,
+               "hop_latency_s": S // 4, "advertise_period_s": 10 * S},
         horizon=11 * S,
         rw_length=rw_length,
         seed=1,

@@ -1,16 +1,15 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
 from rawsim.dissemination import (
-    NeighborTable,
     RWMessage,
     SizeBased,
     TimeoutBased,
     View,
-    hello_tick,
+    discover,
     hop,
     parse_view_policy,
     pick_next,
@@ -20,6 +19,7 @@ from rawsim.dutycycle import awake_predicate
 from rawsim.engine import rng_stream
 from rawsim.errors import InvalidConfigError
 
+import oracles
 from oracles import mean_ideal_intersection
 
 
@@ -178,35 +178,88 @@ def test_timeout_based_boundary_is_closed():
     assert set(view.origins()) == {2}     # aged 25: removed
 
 
-def test_hello_tick_updates_awake_neighbors():
-    tables = {i: NeighborTable() for i in range(3)}
-    hello_tick(0, 5.0, [1, 2], always_active, tables)
-    assert tables[1].known == [0]
-    assert tables[2].known == [0]
-    assert tables[1].members == {0}
-    assert tables[0].known == []
+def hello_ticks(period, t_active, hello_interval):
+    return {"period": period, "t_active_s": t_active, "hello_interval_s": hello_interval}
 
 
-def test_hello_tick_sleeping_receiver_unchanged():
-    tables = {i: NeighborTable() for i in range(2)}
-    hello_tick(0, 1.0, [1], lambda node, _t: node == 0, tables)
-    assert tables[1].known == []
-    assert tables[1].members == set()
+def test_discover_awake_neighbours_hear_the_first_hello():
+    # always awake: 1 and 2 hear 0's first hello; 0 hears nobody
+    ticks = hello_ticks(10, 10, 1)
+    assert discover([0, 0, 0], [[1, 2], [], []], ticks, 5) == [(0, 0, 0, 1), (0, 0, 0, 2)]
+    # node 1 wakes at 3: it hears 0's hello at 3, and 0 hears 1's first
+    # hello at 3 too; the later phase goes first
+    assert discover([0, 3], [[1], [0]], hello_ticks(10, 5, 1), 50) == [
+        (3, -3, 1, 0), (3, 0, 0, 1),
+    ]
 
 
-def test_hello_tick_sleeping_sender_sends_nothing():
-    tables = {i: NeighborTable() for i in range(2)}
-    hello_tick(0, 1.0, [1], always_sleep, tables)
-    assert tables[1].known == []
-    assert tables[1].members == set()
+def test_discover_sleeping_receiver_hears_nothing():
+    # 0 is awake at each of its hellos (0, 10, 20, ...); 1 is awake in
+    # [5, 7) of each period, so it never hears one
+    awake = awake_predicate([0, 5], 10, 2)
+    assert all(awake(0, t) and not awake(1, t) for t in range(0, 101, 10))
+    assert discover([0, 5], [[1], []], hello_ticks(10, 2, 10), 100) == []
+
+
+def test_discover_sleeping_sender_sends_nothing():
+    # 0 sends every 3 ticks but is awake only in [0, 2) of each period, and
+    # then 1 sleeps; 1 is awake at 0's hellos at 3 and 24, where 0 sleeps
+    awake = awake_predicate([0, 3], 10, 2)
+    assert awake(1, 3) and awake(1, 24) and not awake(0, 3) and not awake(0, 24)
+    assert discover([0, 3], [[1], []], hello_ticks(10, 2, 3), 100) == []
 
 
 def test_neighbor_table_no_duplicate_known_entries():
-    table = NeighborTable()
-    table.hear(3)
-    table.hear(3)
-    assert table.known == [3]
-    assert table.members == {3}
+    # both always awake: every hello reaches the other node, but discover
+    # lists only the first, so no table learns a neighbour twice
+    assert discover([0, 0], [[1], [0]], hello_ticks(10, 10, 1), 50) == [
+        (0, 0, 0, 1), (0, 0, 1, 0),
+    ]
+
+
+def replayed_first_hearings(phases, adjacency, ticks, horizon):
+    """oracles.hello_tick over every hello up to the horizon, in dispatch
+    order (tick, later phase first, node id), as discover's events."""
+    awake = awake_predicate(phases, ticks["period"], ticks["t_active_s"])
+    known = [[] for _ in phases]
+    hellos = sorted(
+        (t, -phase, node)
+        for node, phase in enumerate(phases)
+        for t in range(phase, horizon + 1, ticks["hello_interval_s"])
+    )
+    return [
+        (t, later, node, u)
+        for t, later, node in hellos
+        for u in oracles.hello_tick(node, t, adjacency[node], awake, known)
+    ]
+
+
+@st.composite
+def hello_schedules(draw):
+    """Small schedules; hello intervals often do not divide U, and then
+    lcm(hello_interval, U) often exceeds the horizon."""
+    n = draw(st.integers(1, 6))
+    period = draw(st.integers(2, 16))
+    ticks = hello_ticks(period, draw(st.integers(1, period)), draw(st.integers(1, 20)))
+    linked = draw(st.lists(st.booleans(), min_size=n * n, max_size=n * n))
+    adjacency = [[v for v in range(n) if v != u and linked[u * n + v]] for u in range(n)]
+    phases = draw(st.lists(st.integers(0, 3 * period), min_size=n, max_size=n))
+    return phases, adjacency, ticks, draw(st.integers(1, 150))
+
+
+# lcm(7, 16) = 112 past a horizon of 100, with 7 not dividing U
+LCM_PAST_HORIZON = ([0, 9, 30, 4], [[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]],
+                    hello_ticks(16, 5, 7), 100)
+# 4 divides U = 12: discovery settles at max(phase) + 12
+INTERVAL_DIVIDES_PERIOD = ([0, 5, 11], [[1, 2], [0, 2], [0, 1]], hello_ticks(12, 3, 4), 150)
+
+
+@settings(max_examples=400, deadline=None)
+@given(hello_schedules())
+@example(LCM_PAST_HORIZON)
+@example(INTERVAL_DIVIDES_PERIOD)
+def test_discover_equals_a_replay_of_every_hello(schedule):
+    assert discover(*schedule) == replayed_first_hearings(*schedule)
 
 
 def test_ideal_view_intersection_matches_formula():

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from rawsim import kernels
 from rawsim.dutycycle import to_ticks
 from rawsim.engine import SimConfig, build_topology, replicate, rng_stream, run
@@ -147,35 +148,38 @@ def test_run_goes_through_the_protocol_functions(monkeypatch):
     # the engine must call the tested rules, not copies of them
     from rawsim import dissemination
 
-    calls = {"hop": 0, "pick_next": 0, "hello_tick": 0, "hear": 0}
+    calls = {"hop": 0, "pick_next": 0, "discover": 0}
+    stalls = []  # whether each pick left the walk where it was
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
             calls[name] += 1
-            return fn(*args, **kwargs)
+            result = fn(*args, **kwargs)
+            if name == "pick_next":
+                stalls.append(result == args[0])
+            return result
         return wrapper
 
-    for name in ("hop", "pick_next", "hello_tick"):
+    for name in ("hop", "pick_next", "discover"):
         monkeypatch.setattr(dissemination, name, counted(name, getattr(dissemination, name)))
-    monkeypatch.setattr(
-        dissemination.NeighborTable, "hear",
-        counted("hear", dissemination.NeighborTable.hear),
-    )
-    trace = run(quick_config())
+    config = quick_config(t_sleep_s=0.0)  # always awake, so most hops move
+    trace = run(config)
     assert calls["hop"] == trace.event_counts["hop"] > 0
     assert calls["pick_next"] == calls["hop"]
-    # one hello_tick per hello before discovery settles; the count covers
-    # every hello sent up to the horizon
-    phases, settled = settled_discovery(trace.config)
-    h = to_ticks(trace.config.hello_interval_s)
-    horizon = to_ticks(trace.config.horizon_s)
-    assert calls["hello_tick"] == sum(
-        len(range(p, min(settled, horizon + 1), h)) for p in phases
-    ) > 0
-    assert trace.event_counts["hello"] == sum(
-        len(range(p, horizon + 1, h)) for p in phases
-    ) > calls["hello_tick"]
-    assert calls["hear"] > 0
+    assert calls["discover"] == 1
+    assert not all(stalls)
+    # the hello count covers every hello sent up to the horizon
+    phases, _ = settled_discovery(config)
+    h, horizon = to_ticks(config.hello_interval_s), to_ticks(config.horizon_s)
+    assert trace.event_counts["hello"] == sum(len(range(p, horizon + 1, h)) for p in phases) > 0
+    # the hops know only the neighbours that discover hears: with none,
+    # every hop stalls
+    calls["hop"] = 0
+    stalls.clear()
+    monkeypatch.setattr(dissemination, "discover", lambda *args: [])
+    trace = run(config)
+    assert calls["hop"] == trace.event_counts["hop"] == len(stalls) > 0
+    assert all(stalls)
 
 
 def test_hop_gets_int_times_and_float_picks(monkeypatch):
@@ -255,18 +259,17 @@ def settled_discovery(config):
 
 
 def replay_hellos(config, phases, horizon):
-    """Neighbour tables after hello_tick for every hello up to the horizon,
-    without the engine."""
-    from rawsim import dissemination
+    """Each node's known neighbours after oracles.hello_tick for every
+    hello up to the horizon, without the engine."""
     from rawsim.dutycycle import awake_predicate
 
     period, t_active = to_ticks(config.period), to_ticks(config.t_active_s)
     awake = awake_predicate(phases, period, t_active)
     adjacency = build_topology(config).neighbors
-    tables = [dissemination.NeighborTable() for _ in range(config.n)]
+    known = [[] for _ in range(config.n)]
     for t, node in hello_schedule(phases, to_ticks(config.hello_interval_s), horizon):
-        dissemination.hello_tick(node, t, adjacency[node], awake, tables)
-    return tables
+        oracles.hello_tick(node, t, adjacency[node], awake, known)
+    return known
 
 
 @pytest.mark.parametrize("t_active_s", [1.0, 0.25])
@@ -276,17 +279,17 @@ def test_one_awake_hello_per_window_when_active_time_is_the_hello_interval(
     from rawsim import dissemination
     from rawsim.dutycycle import awake_predicate
 
-    sent = []  # (node, time) of every hello the engine dispatched while awake
-    real = dissemination.hello_tick
+    heard = []  # the first hearings the engine's discover returned
+    real = dissemination.discover
 
-    def recording(node, now, neighbors, awake, tables):
-        if awake(node, now):
-            sent.append((node, now))
-        return real(node, now, neighbors, awake, tables)
+    def recording(*args):
+        events = real(*args)
+        heard.extend(events)
+        return events
 
-    monkeypatch.setattr(dissemination, "hello_tick", recording)
+    monkeypatch.setattr(dissemination, "discover", recording)
     for variant in ("normal", "small-timeout", "dense"):
-        sent.clear()
+        heard.clear()
         trace = coverage_run(variant, t_active_s=t_active_s, hello_interval_s=t_active_s)
         phases, settled = settled_discovery(trace.config)
         h = to_ticks(t_active_s)
@@ -300,9 +303,12 @@ def test_one_awake_hello_per_window_when_active_time_is_the_hello_interval(
             windows = list(range(phase, horizon + 1, period))
             schedule = range(phase, horizon + 1, h)
             assert [t for t in schedule if awake(node, t)] == windows, (variant, node)
-            # the engine dispatches the same hellos until discovery settles
-            dispatched = [t for v, t in sent if v == node]
-            assert dispatched == [t for t in windows if t < settled], (variant, node)
+        # so a node is first heard at the start of one of its windows,
+        # before discovery settles
+        assert heard, variant
+        for t, later, sender, _ in heard:
+            assert -later == phases[sender], (variant, sender)
+            assert (t - phases[sender]) % period == 0 and t < settled, (variant, sender, t)
 
 
 def test_discovery_is_fixed_after_one_common_period():
@@ -314,8 +320,8 @@ def test_discovery_is_fixed_after_one_common_period():
         phases, settled = settled_discovery(config)
         horizon = to_ticks(config.horizon_s)
         assert settled < horizon
-        before = [t.known for t in replay_hellos(config, phases, settled - 1)]
-        final = [t.known for t in replay_hellos(config, phases, horizon)]
+        before = replay_hellos(config, phases, settled - 1)
+        final = replay_hellos(config, phases, horizon)
         assert before == final, variant
         assert sum(map(len, final)) > 0
 
@@ -336,8 +342,9 @@ def test_discovery_is_fixed_after_one_common_period():
 def test_engine_neighbour_tables_equal_a_replay_of_every_hello(
     monkeypatch, variant, updates, horizon_vs_settled
 ):
-    # the engine stops dispatching hellos once discovery has settled; its
-    # final tables must equal hello_tick replayed over every hello sent
+    # discover lists no first hearing from the tick discovery settles on;
+    # the engine's final tables must equal hello_tick replayed over every
+    # hello sent
     from rawsim import dissemination
 
     short = {"n": 30, "horizon_s": 120.0, "sink_start_s": 20.0}
@@ -359,7 +366,7 @@ def test_engine_neighbour_tables_equal_a_replay_of_every_hello(
     trace = run(config)
     engine_known = [t.known for t in made]
     assert to_ticks(trace.phases).tolist() == phases
-    replayed = [t.known for t in replay_hellos(config, phases, horizon)]
+    replayed = replay_hellos(config, phases, horizon)
     assert engine_known == replayed
     assert sum(map(len, replayed)) > 0
 
