@@ -130,8 +130,8 @@ def hop(msg, known, awake, t, pick):
 
 def discover(phases, adjacency, ticks, horizon):
     """Every first hearing of a hello, as (tick, -sender phase, sender,
-    receiver) in dispatch order. Phases, ticks and the horizon are integer
-    ticks; adjacency lists each node's neighbours in ascending order.
+    receiver), sorted. Phases, ticks and the horizon are integer ticks;
+    adjacency lists each node's neighbours in ascending order.
 
     v sends its j-th hello at phase_v + j*hello_interval, and if v is awake
     then, every topological neighbour awake then hears it. v is awake at

@@ -3,15 +3,17 @@
 One engine instance is strictly single-threaded; replications are
 independent executions with consecutive seeds. All randomness comes from
 named Philox streams keyed by (seed, label), so e.g. changing the number
-of sink visits never perturbs placement or walk draws. Hellos, launches
-and walk hops are dispatched in the order of one (time, sequence) event
-queue, computed in closed form by dispatch; every equal-time tie follows
-from how the queue would have numbered events. Views and sink visits are
-replayed from the deposit log. Inside a run, time is integer ticks
-(dutycycle.to_ticks); configs, traces and outputs are in seconds.
+of sink visits never perturbs placement or walk draws. dispatch computes
+the first hearings of hellos and the launches in closed form, then steps
+the walks one after another in launch order, each hop taking the next
+draw of the "walks" stream. Views and sink visits are replayed from the
+deposit log. Inside a run, time is integer ticks (dutycycle.to_ticks);
+configs, traces and outputs are in seconds.
 """
 
+import bisect
 import dataclasses
+import itertools
 import json
 import math
 import zlib
@@ -88,21 +90,12 @@ class SimConfig:
             )
         # validate eagerly so bad configs fail before a run starts
         self.resolved_rw_length()
-        ticks = {}
         for name, seconds in self.tick_durations().items():
-            ticks[name] = dutycycle.to_ticks(seconds)
-            if ticks[name] < 1:
+            if dutycycle.to_ticks(seconds) < 1:
                 raise InvalidConfigError(
                     f"{name} must be at least one tick ({dutycycle.TICK_S:g} s), "
                     f"got {seconds}"
                 )
-        # dispatch orders equal-tick hops on the assumption that a node's
-        # next launch comes after its walk's first hop
-        if ticks["hop_latency_s"] >= ticks["advertise_period_s"]:
-            raise InvalidConfigError(
-                f"hop_latency_s must be shorter than the advertise period, got "
-                f"{self.hop_latency_s} >= {self.resolved_advertise_period()}"
-            )
         if self.sink_enabled and self.resolved_sink_visits() < 1:
             raise InvalidConfigError("sink_visits must be >= 1")
         if self.sink_gap_s < 0 or self.sink_start_s < 0:
@@ -290,14 +283,14 @@ def build_topology(config):
     return topo.build_adjacency(positions, config.radio_range)
 
 
-BLOCK = 1024                           # hops per block, about
+BLOCK = 1024                           # walk draws per rng call
 
 
 @dataclass
 class Dispatch:
     """What dispatching hellos, launches and hops hands to the rest of a
     run."""
-    deposits: list                     # (tick, storage, origin), in dispatch order
+    deposits: list                     # (tick, storage, origin), sorted
     launch_events: int
     launches: int
     hops: int
@@ -305,10 +298,10 @@ class Dispatch:
 
 
 def launch_schedule(phases, ticks, horizon):
-    """Every launch up to the horizon, in dispatch order: by tick, then
-    later phase first, then node id. Returns the number of launch events
-    and the ticks and origins of the walks launched, as int64 arrays; a
-    node launches iff it is awake at the launch tick (kernels.awake)."""
+    """Every launch up to the horizon, ordered by tick, then later phase
+    first, then node id. Returns the number of launch events and the ticks
+    and origins of the walks launched, as int64 arrays; a node launches iff
+    it is awake at the launch tick (kernels.awake)."""
     n, advertise_period = len(phases), ticks["advertise_period_s"]
     phase = np.asarray(phases, dtype=np.int64)
     nodes = np.lexsort((np.arange(n), -phase))
@@ -324,119 +317,45 @@ def launch_schedule(phases, ticks, horizon):
 
 
 def dispatch(phases, awake, adjacency, ticks, horizon, rw_length, rng):
-    """Dispatch the first hearings of hellos (dissemination.discover),
-    the launches and the walk hops of a run up to the horizon. Returns the
-    deposit log and the walk counters.
+    """Make the first hearings of hellos (dissemination.discover), the
+    launches (launch_schedule) and the walk hops of a run up to the
+    horizon. Returns the deposit log and the walk counters.
 
-    A run dispatches events in (tick, seq) order, where seq numbers events
-    in the order they are scheduled, and each event is scheduled by the one
-    being dispatched: a hello schedules the node's next hello, a launch its
-    walk's first hop and then the node's next launch, a hop the walk's next
-    hop. The first hellos and then the first launches take the lowest seqs.
-    So of two events at one tick, the one whose scheduling event was
-    dispatched first comes first; following both chains of scheduling
-    events back gives every tie rule below in closed form.
-
-    - Launches fall at phase + m*advertise_period (launch_schedule). At
-      equal ticks the later phase goes first, as its chain reaches a first
-      launch sooner, then the node id.
-    - Walk w, launched at T_w, makes hop k at T_w + k*hop_latency for
-      k <= min(rw_length, (horizon - T_w) // hop_latency); a walk that
-      makes fewer than rw_length hops is dropped in flight. At equal ticks
-      the later-launched walk hops first: its chain meets the other walk's
-      at its own launch, scheduled one advertise period earlier than the
-      other walk's hop at that tick was scheduled (hop_latency <
-      advertise_period). Walks launched at one tick follow launch order.
-      The j-th hop takes the j-th draw of rng.
-    - Hellos go (tick, later phase first, node id), as launches do. A
-      hello comes before a hop at its tick if it is its sender's first one
-      (the first hellos take the lowest seqs), if hello_interval >
-      hop_latency (it was scheduled earlier), or if the two are equal and
-      the sender's phase is at or after the walk's launch tick (its chain
-      reaches a first hello no later than the hop's reaches its launch).
-    - A terminating hop deposits at its tick; with rw_length 0 every walk
-      deposits at its launch. The log is in dispatch order.
-
-    Hops go by hop-latency steps. With q0_w, r_w = divmod(T_w,
-    hop_latency), walk w hops once in each step q of (q0_w, q0_w + made_w],
-    at tick q*hop_latency + r_w. Within a step ticks ascend with r_w, and
-    equal ticks mean equal r_w, so the rules above order every step by one
-    fixed key per walk: (r_w, -T_w, launch index). A block is a range of
-    whole steps times the walks that can hop in it, found by searchsorted
-    on q0; it sorts those walks once, and its hops are the cells where a
-    walk hops, read step by step. A block spans BLOCK // (walks in flight)
-    steps, halved while more than 2*BLOCK hops fall in it. Each block
-    draws its picks in one call; successive calls of one generator give
-    the same values as one long one. A walk's RWMessage exists from its
-    first block to its last. Times are Python ints and picks Python floats
-    in the hop loop.
+    Walk w, launched at T_w, makes hop k at T_w + k*hop_latency for
+    k <= min(rw_length, (horizon - T_w) // hop_latency); a walk that makes
+    fewer than rw_length hops is dropped in flight. Walks never interact,
+    so they go one after another in launch order, each making its hops in
+    order, and the j-th hop counted this way takes the j-th draw of rng,
+    drawn BLOCK at a time. A hop at tick t knows the senders its node first
+    heard at ticks <= t. A walk deposits at its last hop, or at its launch
+    when rw_length is 0. Times are Python ints and picks Python floats.
     """
-    n = len(phases)
-    hello_interval = ticks["hello_interval_s"]
     hop_latency = ticks["hop_latency_s"]
     hop = dissemination.hop
-    known = [dissemination.NeighborTable().known for _ in range(n)]  # grown by hear_before
+    known = [dissemination.NeighborTable().known for _ in phases]  # in hearing order
+    heard_at = [[] for _ in phases]    # the tick of each known[node] entry
     heard = dissemination.discover(phases, adjacency, ticks, horizon)
-    heard.reverse()                    # popped in dispatch order
-
-    def hear_before(bound):
-        """Record the first hearings that sort before bound."""
-        while heard and heard[-1] < bound:
-            _, _, sender, receiver = heard.pop()
-            known[receiver].append(sender)
+    for t, _, sender, receiver in heard:
+        known[receiver].append(sender)
+        heard_at[receiver].append(t)
+    settled = heard[-1][0] if heard else 0  # every table is whole from here
 
     launch_events, start, origin = launch_schedule(phases, ticks, horizon)
     made = np.minimum(rw_length, (horizon - start) // hop_latency)  # hops per walk
     deposits = []
     if rw_length == 0:
         deposits = list(zip(start.tolist(), origin.tolist(), origin.tolist()))
-    log = deposits.append
-    q0, offset = np.divmod(start, hop_latency)
-    last = q0 + made                   # walk w hops once in each step of (q0, last]
-    stop = int(last.max(initial=-1, where=made > 0))
-    msgs = np.empty(start.size, dtype=object)  # RWMessages of the walks in flight
-    ended = entered = qa = 0
-    while qa <= stop:
-        lo = int(np.searchsorted(q0, qa - rw_length))  # earlier walks have ended
-        qa = max(qa, int(q0[lo]) + 1)  # if none is in flight, the next walk's first hop
-        hi = int(np.searchsorted(q0, qa))  # walks lo..hi-1 are in flight at qa
-        steps = max(1, BLOCK // (hi - lo))
-        while True:
-            hi = int(np.searchsorted(q0, qa + steps - 1))  # later walks hop after the block
-            hops = np.minimum(last[lo:hi], qa + steps - 1) - np.maximum(q0[lo:hi], qa - 1)
-            if steps == 1 or hops.clip(0).sum() <= 2 * BLOCK:
-                break
-            steps //= 2                # walks launched in the block: halve it
-        msgs[ended:lo] = None
-        msgs[entered:hi] = [RWMessage(o, rw_length, o) for o in origin[entered:hi].tolist()]
-        ended, entered = lo, hi
-        # the order within a step; lexsort is stable, so launch order last
-        walks = lo + np.lexsort((-start[lo:hi], offset[lo:hi]))
-        step = np.arange(qa, qa + steps)[:, None]
-        qa += steps
-        cells = (q0[walks] < step) & (step <= last[walks])
-        when = (step * hop_latency + offset[walks])[cells]
-        walk = np.broadcast_to(walks, cells.shape)[cells]
-        size = when.size
-        block = zip(msgs[walk].tolist(), when.tolist(), rng.random(size).tolist())
-        if not heard:
-            for msg, t, pick in block:
-                if hop(msg, known[msg.current], awake, t, pick):
-                    log((t, msg.current, msg.origin))
-            continue
-        # first hearings still pending: one at a hop's tick goes first iff
-        # its sender's phase is at least min_phase
-        if hello_interval > hop_latency:
-            min_phase = np.full(size, -1)
-        elif hello_interval == hop_latency:
-            min_phase = start[walk]
-        else:
-            min_phase = when
-        for (msg, t, pick), key in zip(block, (-min_phase).tolist()):
-            hear_before((t, key, n))
-            if hop(msg, known[msg.current], awake, t, pick):
-                log((t, msg.current, msg.origin))
-    hear_before((math.inf,))
+    picks = itertools.chain.from_iterable(iter(lambda: rng.random(BLOCK).tolist(), None))
+    for o, launched, hops in zip(map(int, origin), map(int, start), map(int, made)):
+        msg = RWMessage(o, rw_length, o)
+        steps = range(launched + hop_latency, launched + hops * hop_latency + 1, hop_latency)
+        for t, pick in zip(steps, picks):  # no tick, no draw
+            table = known[msg.current]
+            if t < settled:
+                table = table[:bisect.bisect_right(heard_at[msg.current], t)]
+            if hop(msg, table, awake, t, pick):
+                deposits.append((t, msg.current, o))
+    deposits.sort()
     return Dispatch(
         deposits=deposits,
         launch_events=launch_events,
@@ -451,12 +370,10 @@ def run(config, topology=None):
     trace. A topology may be passed in to share placement across runs; it
     is built only if hellos or require_connected read it.
 
-    dispatch makes the first hearings, launches and walk hops in the order
-    of one (tick, seq) event queue without keeping one; its docstring gives
-    the tie rules. Every time in a run is an int number of ticks. No walk
-    reads a view, so dispatch only logs deposits; views and sink visits are
-    replayed after it. event_counts["hello"] counts every hello sent up to
-    the horizon, in closed form."""
+    Every time in a run is an int number of ticks. No walk reads a view, so
+    dispatch only logs deposits; views and sink visits are replayed after
+    it. event_counts["hello"] counts every hello sent up to the horizon, in
+    closed form."""
     n = config.n
     adjacency = ()
     if reads_topology(config):
@@ -506,11 +423,9 @@ def run(config, topology=None):
 
     # One replay of the deposit log and the visits, in tick order, builds
     # the views, the sink report and the view-size changes. At equal ticks
-    # a visit comes first, as if visits were queue events scheduled before
-    # any other: every hop and every repeat launch would then come after a
-    # visit at its tick. The one other deposit is a first launch with
-    # rw_length 0, and that node's view only ever holds its own origin,
-    # which every visit to it collects anyway. A node gets a view only once
+    # a visit comes first, so it collects what was deposited before its
+    # tick. The deposits of one tick go by (storage, origin); a view ends
+    # the same whatever their order. A node gets a view only once
     # something is deposited there or it is visited.
     tau = ticks.get("view_policy timeout")
     policy = config.resolved_view_policy() if tau is None else TimeoutBased(tau)

@@ -1,7 +1,8 @@
 """Reference implementations that tests compare the model with: a sampling
 oracle for analytic values, the scalar hello that
 dissemination.discover must equal, and the event-queue dispatch that
-engine.dispatch must equal bit for bit."""
+engine.dispatch must equal bit for bit given the same draws for each
+walk."""
 
 
 def mean_ideal_intersection(n, k, pairs, rng):

@@ -155,10 +155,10 @@ def test_criterion_8_conservation():
 FIGURES_SHA256 = {
     "active_vs_delta_n100.csv": "090bfca3c6762647fea5b55f407a5eb0628fbfe02b102db9bdf76bb981930324",
     "active_vs_delta_n400.csv": "04c9ea1e3d95f19608af8fa7515748e5e1df739cb314e1655add41bb355825cd",
-    "coverage_all_active.csv": "9b791709fb2008cfef789a80ad010f8591d75ac2466fddf555368d6d0b8a3933",
-    "coverage_dense.csv": "fb292c7f02779602a106a8f94a9f43ce1488f92a83c0a2c5242f68f8475f752c",
+    "coverage_all_active.csv": "981ef0ce2bae204080fcba2de170cde4b661146957d066064fc5c604efdb34c9",
+    "coverage_dense.csv": "a3d58cde264bf2ea47198fbf517173c2fa559b18a78cab6cd1b6a6b0ab9824a0",
     "coverage_normal.csv": "31732fef5bd6f5d1977ed6ba4b61c90d815d670dada3ec0340841823a8f3f8fc",
-    "coverage_small_timeout.csv": "edf90588172fcab0186b7787299598b8b1659d30542a6a25c1ec1c88c15ccb86",
+    "coverage_small_timeout.csv": "8705143b3267198c99e57decadaae30827b975d9fbcfc34eebae8026c46fb571",
     "delta_for_sqrt_n.csv": "03ccd974ece43332b8651b98cd5c7e5999fae986f4f0dc3a63e0b3354011beff",
     "placement_1000x1000.txt": "352ab6710afb8520059e59db8630c54238196e8ff9f21152295617017e36f3cc",
     "placement_550x550.txt": "e732495512f5399d46db66247d723e93bcecd870fcc2d34ba81ae736aabdc941",

@@ -71,9 +71,6 @@ def test_malformed_values_exit_2(tmp_path, capsys):
         ["run", "--set", "advertise_period_s=4e-7"],
         ["run", "--set", "view_policy=timeout:1e-7"],
         ["run", "--set", "advertise_period_s=0"],
-        # a hop may not take as long as the advertise period (default U)
-        ["run", "--set", "hop_latency_s=10"],
-        ["run", "--set", "advertise_period_s=2", "--set", "hop_latency_s=2.5"],
         # geometry is checked when the config is built, not when a run
         # first reads a topology
         ["run", "--set", "radio_range=-5", "--set", "dissemination_enabled=false",

@@ -1,18 +1,26 @@
-"""engine.dispatch against the event-queue reference in tests/oracles.py:
-the closed-form schedule must give the same deposit log, counters,
-neighbour tables and run outputs, bit for bit."""
+"""engine.dispatch against the event-queue reference in tests/oracles.py.
+
+The two take the draws of the "walks" stream in different orders: the
+queue in (tick, seq) order, dispatch walk by walk. Given the reference's
+draws re-ranked walk by walk, dispatch must equal it bit for bit wherever
+both see the same hearings; with their own draws the two must agree in
+distribution."""
 
 import contextlib
+import dataclasses
+import math
 
+import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import oracles
 from rawsim import dissemination, engine
-from rawsim.dutycycle import awake_predicate
-from rawsim.engine import rng_stream, run
+from rawsim.dutycycle import awake_predicate, to_ticks
+from rawsim.engine import SimConfig, rng_stream, run
 from rawsim.experiments import COVERAGE_VARIANTS, coverage_config
+from rawsim.sink import coverage_fractions
 
 S = 1_000_000  # ticks per second
 
@@ -27,7 +35,48 @@ def patched(owner, name, value):
         setattr(owner, name, real)
 
 
-def dispatched(fn, phases, period, t_active, adjacency, ticks, horizon, rw_length, seed):
+class Replayed:
+    """A stand-in for the "walks" generator that hands out given draws in
+    order; past their end it gives NaN, which no hop can use."""
+
+    def __init__(self, draws):
+        self.draws = list(draws)
+
+    def random(self, size):
+        head, self.draws = self.draws[:size], self.draws[size:]
+        return np.array(head + [math.nan] * (size - len(head)))
+
+
+def reference_draws(fn, ticks, horizon, rw_length):
+    """fn, a dispatcher that draws through dissemination.hop, wrapped to
+    sort its deposit log and to record the draw it gives each walk's hops,
+    keyed by (launch tick, origin)."""
+    draws = {}
+
+    def dispatcher(phases, *args):
+        real_hop = dissemination.hop
+
+        def recording_hop(msg, known, awake, t, pick):
+            launched = t - (rw_length - msg.ttl + 1) * ticks["hop_latency_s"]
+            draws.setdefault((launched, msg.origin), []).append(pick)
+            return real_hop(msg, known, awake, t, pick)
+
+        with patched(dissemination, "hop", recording_hop):
+            result = fn(phases, *args)
+        result.deposits.sort()
+        return result
+
+    def walk_major(phases):
+        """The recorded draws, walk by walk in launch order."""
+        _, start, origin = engine.launch_schedule(phases, ticks, horizon)
+        walks = list(zip(start.tolist(), origin.tolist()))
+        assert set(draws) <= set(walks)
+        return [pick for walk in walks for pick in draws.get(walk, [])]
+
+    return dispatcher, walk_major
+
+
+def dispatched(fn, phases, period, t_active, adjacency, ticks, horizon, rw_length, rng):
     """fn's Dispatch and the known lists of the neighbour tables it built."""
     made = []
 
@@ -38,16 +87,30 @@ def dispatched(fn, phases, period, t_active, adjacency, ticks, horizon, rw_lengt
 
     awake = awake_predicate(phases, period, t_active)
     with patched(dissemination, "NeighborTable", RecordedTable):
-        result = fn(phases, awake, adjacency, ticks, horizon, rw_length,
-                    rng_stream(seed, "walks"))
+        result = fn(phases, awake, adjacency, ticks, horizon, rw_length, rng)
     return result, [t.known for t in made]
+
+
+def hop_ticks_meet_hearings(schedule):
+    """Whether a first hearing falls on the tick of some hop."""
+    ticks, horizon = schedule["ticks"], schedule["horizon"]
+    heard = dissemination.discover(schedule["phases"], schedule["adjacency"], ticks, horizon)
+    _, start, _ = engine.launch_schedule(schedule["phases"], ticks, horizon)
+    latency = ticks["hop_latency_s"]
+    last = schedule["rw_length"] * latency
+    hops = {
+        t
+        for launched in start.tolist()
+        for t in range(launched + latency, min(launched + last, horizon) + 1, latency)
+    }
+    return any(t in hops for t, *_ in heard)
 
 
 @st.composite
 def small_schedules(draw):
     """Schedules on a grid of a few ticks, where hellos, launches and hops
-    often fall on one tick; half of them have equal hello and hop
-    intervals."""
+    often fall on one tick, and a hop may take longer than the advertise
+    period."""
     n = draw(st.integers(1, 6))
     period = draw(st.integers(2, 16))
     hop = draw(st.integers(1, 5))
@@ -55,9 +118,9 @@ def small_schedules(draw):
     ticks = {
         "period": period,
         "t_active_s": t_active,
-        "hello_interval_s": draw(st.one_of(st.just(hop), st.integers(1, 6))),
+        "hello_interval_s": draw(st.one_of(st.integers(hop + 1, 8), st.integers(1, 6))),
         "hop_latency_s": hop,
-        "advertise_period_s": draw(st.integers(hop + 1, 20)),
+        "advertise_period_s": draw(st.integers(1, 20)),
     }
     linked = draw(st.lists(st.booleans(), min_size=n * n, max_size=n * n))
     adjacency = [
@@ -76,36 +139,116 @@ def small_schedules(draw):
     )
 
 
-# Equal hello and hop intervals, where a hello and a hop tie with the
-# sender's phase equal to the walk's launch tick: the hello goes first.
-EQUAL_PHASE_AND_LAUNCH = dict(
-    phases=[5, 7, 8], period=5, t_active=3, adjacency=[[1, 2], [0, 2], [0, 1]],
-    ticks={"period": 5, "t_active_s": 3, "hello_interval_s": 3, "hop_latency_s": 3,
-           "advertise_period_s": 8},
-    horizon=85, rw_length=2, seed=0,
-)
-
-# Six nodes launch at tick 0, so at BLOCK = 1 each of their steps holds
-# more walks than 2*BLOCK and the block shrinks to one step.
+# Six nodes launch at tick 0 and hop on the same ticks; hops take longer
+# than the advertise period.
 ALL_AT_PHASE_ZERO = dict(
     phases=[0] * 6, period=10, t_active=4,
     adjacency=[[v for v in range(6) if v != u] for u in range(6)],
-    ticks={"period": 10, "t_active_s": 4, "hello_interval_s": 2, "hop_latency_s": 2,
-           "advertise_period_s": 7},
+    ticks={"period": 10, "t_active_s": 4, "hello_interval_s": 3, "hop_latency_s": 2,
+           "advertise_period_s": 1},
     horizon=60, rw_length=5, seed=1,
 )
 
 
 @settings(max_examples=400, deadline=None)
 @given(small_schedules(), st.sampled_from([1, 2, 5, engine.BLOCK]))
-@example(EQUAL_PHASE_AND_LAUNCH, engine.BLOCK)
 @example(ALL_AT_PHASE_ZERO, 1)
 def test_dispatch_equals_the_reference_on_tied_schedules(schedule, block):
-    # small blocks end at many step boundaries and take the shrink path; a
-    # step is never split across blocks
+    # the queue hears every hello at a hop's tick before the hop when
+    # hellos are scheduled further ahead than hops; otherwise compare only
+    # where no hearing shares a tick with a hop
+    ticks = schedule["ticks"]
+    assume(ticks["hello_interval_s"] > ticks["hop_latency_s"]
+           or not hop_ticks_meet_hearings(schedule))
+    args = {k: v for k, v in schedule.items() if k != "seed"}
+    args["rng"] = rng_stream(schedule["seed"], "walks")
+    oracle, walk_major = reference_draws(
+        oracles.dispatch, ticks, schedule["horizon"], schedule["rw_length"]
+    )
+    expected = dispatched(oracle, **args)
+    replayed = Replayed(walk_major(args["phases"]))
+    # the block size changes no draw
     with patched(engine, "BLOCK", block):
-        closed = dispatched(engine.dispatch, **schedule)
-    assert closed == dispatched(oracles.dispatch, **schedule)
+        closed = dispatched(engine.dispatch, **dict(args, rng=replayed))
+    assert closed == expected
+
+
+def outputs(config, fn, rng=None):
+    """A run's output bytes and a copy of its Dispatch, with fn as the
+    dispatcher and, if given, rng for the "walks" stream."""
+    seen = []
+
+    def recording(*args):
+        result = fn(*args[:-1], rng or args[-1])
+        seen.append(dataclasses.replace(result, deposits=list(result.deposits)))
+        return result
+
+    with patched(engine, "dispatch", recording):
+        trace = run(config)
+    return trace.summary_json() + trace.sink_csv() + trace.samples_csv(), seen[0]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    variant=st.sampled_from(COVERAGE_VARIANTS),
+    seed=st.integers(0, 10_000),
+    # below the 1 s hello interval, so every hop hears the hellos of its tick
+    latency=st.sampled_from([0.01, 0.25, 0.75]),
+    rw_length=st.sampled_from(["0", "4", "n/2"]),
+    view=st.sampled_from(["size:sqrt", "size:2", "timeout:15"]),
+    wake=st.booleans(),
+    # 0.5 s is shorter than some hops
+    advertise=st.sampled_from([None, 0.5, 2.5, 7.0]),
+)
+def test_runs_equal_the_reference(variant, seed, latency, rw_length, view, wake, advertise):
+    config = coverage_config(variant, seed=seed).with_updates(
+        n=30, horizon_s=80.0, sink_start_s=20.0, sink_gap_s=3.0,
+        hop_latency_s=latency, rw_length=rw_length, view_policy=view,
+        sink_wake_sleeping=wake, advertise_period_s=advertise,
+    )
+    ticks = {name: to_ticks(sec) for name, sec in config.tick_durations().items()}
+    horizon = to_ticks(config.horizon_s)
+    oracle, walk_major = reference_draws(
+        oracles.dispatch, ticks, horizon, config.resolved_rw_length()
+    )
+    phases = []
+
+    def recording_oracle(*args):
+        phases.append(args[0])
+        return oracle(*args)
+
+    expected = outputs(config, recording_oracle)
+    closed = outputs(config, engine.dispatch, Replayed(walk_major(phases[0])))
+    assert closed == expected
+    assert closed[1].hops > 0 or rw_length == "0"
+
+
+def paired_z(a, b):
+    """Per column, the mean of a - b over its standard error; 0 where every
+    pair is equal."""
+    d = np.asarray(a) - np.asarray(b)
+    se = d.std(axis=0, ddof=1) / math.sqrt(d.shape[0])
+    mean = d.mean(axis=0)
+    assert np.all((se > 0) | (mean == 0))
+    return np.divide(mean, se, out=np.zeros_like(mean), where=se > 0)
+
+
+def test_coverage_agrees_with_the_reference_in_distribution():
+    # each engine with its own draws: over 100 seeds the mean coverage per
+    # visit of dispatch and the queue must agree within sampling error
+    base = SimConfig(
+        n=20, width=400.0, height=400.0, t_active_s=3.0, t_sleep_s=3.0,
+        horizon_s=40.0, sink_start_s=20.0, sink_gap_s=2.0, sink_visits=6,
+    )
+    curves = {engine.dispatch: [], oracles.dispatch: []}
+    for seed in range(100):
+        config = base.with_updates(seed=seed)
+        for fn, rows in curves.items():
+            with patched(engine, "dispatch", fn):
+                rows.append(coverage_fractions(run(config).sink_report))
+    closed, queued = curves[engine.dispatch], curves[oracles.dispatch]
+    assert np.mean(closed) > 6 / 20  # walks carry origins beyond the visited nodes
+    assert np.abs(paired_z(closed, queued)).max() < 3.5
 
 
 class RecordedDraws:
@@ -139,13 +282,10 @@ def walk_draw_sizes(config):
     # every phase 0: 400 walks launch at one tick each period
     coverage_config("all-active", seed=3).with_updates(n=400, horizon_s=40.0),
 ], ids=["normal-n100", "all-active-n400"])
-def test_each_block_draws_at_most_twice_block(config):
+def test_every_draw_call_is_one_block(config):
     counts, sizes = walk_draw_sizes(config)
-    assert 1 <= min(sizes) and max(sizes) <= 2 * engine.BLOCK
-    assert sum(sizes) == counts["hop"]
-    # blocks shrink by the hops in them, not by steps x walks, so a walk
-    # launched late in a block does not halve it
-    assert sum(sizes) / len(sizes) >= engine.BLOCK / 2
+    assert set(sizes) == {engine.BLOCK}
+    assert len(sizes) == -(-counts["hop"] // engine.BLOCK)
 
 
 def test_walks_that_make_no_hops_draw_nothing():
@@ -154,64 +294,36 @@ def test_walks_that_make_no_hops_draw_nothing():
     assert counts["launch"] > 0 and sizes == []
 
 
-def outputs(config, fn):
-    """A run's output bytes and its Dispatch, with fn as the dispatcher."""
-    seen = []
-
-    def recording(*args):
-        seen.append(fn(*args))
-        return seen[-1]
-
-    with patched(engine, "dispatch", recording):
-        trace = run(config)
-    return trace.summary_json() + trace.sink_csv() + trace.samples_csv(), seen
-
-
-@settings(max_examples=40, deadline=None)
-@given(
-    variant=st.sampled_from(COVERAGE_VARIANTS),
-    seed=st.integers(0, 10_000),
-    # below, at and above the 1 s hello interval
-    latency=st.sampled_from([0.01, 0.25, 1.0, 1.5]),
-    rw_length=st.sampled_from(["0", "4", "n/2"]),
-    view=st.sampled_from(["size:sqrt", "size:2", "timeout:15"]),
-    wake=st.booleans(),
-    advertise=st.sampled_from([None, 2.5, 7.0]),
-)
-def test_runs_equal_the_reference(variant, seed, latency, rw_length, view, wake, advertise):
-    config = coverage_config(variant, seed=seed).with_updates(
-        n=30, horizon_s=80.0, sink_start_s=20.0, sink_gap_s=3.0,
-        hop_latency_s=latency, rw_length=rw_length, view_policy=view,
-        sink_wake_sleeping=wake, advertise_period_s=advertise,
-    )
-    closed = outputs(config, engine.dispatch)
-    assert closed == outputs(config, oracles.dispatch)
-    assert closed[1][0].hops > 0 or rw_length == "0"
-
-
-# Two nodes in range, U = 10 s, active 1 s, hellos and hops every 0.25 s.
-# Node 0 (phase 0) and node 1 (phase 9.5 s) first share a window at 10 s,
-# where each hears the other's hello, at the tick of a hop of each node's
-# first walk. Node 0's walk was launched at 0, at or before node 1's
-# phase, so node 1's hello comes first and hop 40 moves the walk to node 1;
-# hop 41 takes it back. Node 1's walk was launched at 9.5 s, after node
-# 0's phase, so its hop 2 comes first and stalls; hop 3 moves it to node 0.
-# Either tie taken the other way ends that walk at node 1 instead.
-@pytest.mark.parametrize("rw_length, walk, storage", [(41, 0, 0), (3, 1, 0)])
-def test_equal_hello_and_hop_latency_tie_decides_the_storage_node(rw_length, walk, storage):
+# Two nodes in range, U = 10 s, active 1 s, hops every 0.25 s. Node 0
+# (phase 0) and node 1 (phase 9.5 s) first share a window at 10 s, where
+# each first hears the other, at the tick of a hop of each node's first
+# walk; before it neither knows anyone, so every hop stalls. A hop sees
+# the hearings of its own tick, whatever the hello interval: hop 40 of node
+# 0's walk moves it to node 1, and hop 2 of node 1's walk moves it to node
+# 0. Had either hop missed the hearing it would have stalled, and its walk
+# would end at its origin.
+@pytest.mark.parametrize("hello_interval", [S // 2, S // 4, S // 8], ids=[">", "=", "<"])
+@pytest.mark.parametrize("rw_length, walk, storage", [(40, 0, 1), (2, 1, 0)])
+def test_a_hearing_on_a_hop_tick_decides_the_storage_node(
+    hello_interval, rw_length, walk, storage
+):
     schedule = dict(
         phases=[0, 19 * S // 2],
         period=10 * S,
         t_active=S,
         adjacency=[[1], [0]],
-        ticks={"period": 10 * S, "t_active_s": S, "hello_interval_s": S // 4,
+        ticks={"period": 10 * S, "t_active_s": S, "hello_interval_s": hello_interval,
                "hop_latency_s": S // 4, "advertise_period_s": 10 * S},
-        horizon=11 * S,
+        horizon=10 * S,
         rw_length=rw_length,
-        seed=1,
+        rng=rng_stream(1, "walks"),
     )
+    heard = dissemination.discover(
+        schedule["phases"], schedule["adjacency"], schedule["ticks"], schedule["horizon"]
+    )
+    assert [(t, sender) for t, _, sender, _ in heard] == [(10 * S, 1), (10 * S, 0)]
     closed, known = dispatched(engine.dispatch, **schedule)
-    assert (closed, known) == dispatched(oracles.dispatch, **schedule)
+    assert known == [[1], [0]]
     deposits = {origin: (t, node) for t, node, origin in closed.deposits}
     launched = schedule["phases"][walk]
     assert deposits[walk] == (launched + rw_length * S // 4, storage)

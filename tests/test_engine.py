@@ -24,9 +24,50 @@ S = 1_000_000  # ticks per second
 
 
 def quick_config(**kwargs):
+    """n=20 on 1000 x 1000 m at delta = 0.9: most nodes sleep, and every
+    walk stalls at its origin."""
     defaults = dict(n=20, horizon_s=60.0, sink_start_s=30.0, sink_gap_s=2.0, seed=5)
     defaults.update(kwargs)
     return SimConfig(**defaults)
+
+
+def moving_config(**kwargs):
+    """quick_config on 400 x 400 m with half the period awake: its walks
+    move, and many end away from their origins."""
+    defaults = dict(width=400.0, height=400.0, t_active_s=3.0, t_sleep_s=3.0)
+    defaults.update(kwargs)
+    return quick_config(**defaults)
+
+
+def recorded_picks(monkeypatch):
+    """Whether each pick_next call from now on moved its walk."""
+    from rawsim import dissemination
+
+    moved = []
+    real = dissemination.pick_next
+
+    def recording(node, *args):
+        result = real(node, *args)
+        moved.append(result != node)
+        return result
+
+    monkeypatch.setattr(dissemination, "pick_next", recording)
+    return moved
+
+
+@pytest.mark.parametrize("make, moves", [(quick_config, False), (moving_config, True)])
+def test_walks_of_the_small_configs_move_as_documented(monkeypatch, make, moves):
+    moved = recorded_picks(monkeypatch)
+    trace = run(make())
+    assert trace.event_counts["hop"] == len(moved) > 0
+    assert any(moved) == moves
+    # a visit collects the visited node's own origin, so coverage above the
+    # visited share needs walks that end away from their origins
+    report = trace.sink_report
+    visited = len({v.node for v in report.visits}) / report.n
+    assert (report.coverage > visited) == moves
+    if moves:
+        assert sum(moved) >= len(moved) / 4
 
 
 def test_rng_stream_reproducible():
@@ -44,15 +85,15 @@ def test_rng_streams_independent_by_label():
 @settings(max_examples=50, deadline=None)
 @given(st.lists(st.integers(0, 2000), max_size=12))
 def test_walk_draws_do_not_depend_on_chunk_size(sizes):
-    # dispatch draws each block's picks with one rng.random(size) call;
-    # block boundaries must not change the picks
+    # dispatch draws its picks BLOCK at a time; where the calls split the
+    # stream must not change the picks
     whole = rng_stream(42, "walks").random(sum(sizes)).tolist()
     rng = rng_stream(42, "walks")
     assert [x for size in sizes for x in rng.random(size).tolist()] == whole
 
 
 def test_run_deterministic():
-    cfg = quick_config()
+    cfg = moving_config()
     t1 = run(cfg)
     t2 = run(cfg)
     assert t1.samples_csv() == t2.samples_csv()
@@ -69,8 +110,8 @@ def test_zero_horizon_single_sample_no_events():
 
 
 def test_sink_plan_does_not_perturb_other_streams():
-    few = run(quick_config(sink_visits=3))
-    many = run(quick_config(sink_visits=12))
+    few = run(moving_config(sink_visits=3))
+    many = run(moving_config(sink_visits=12))
     assert (few.active_counts == many.active_counts).all()
     assert few.launches == many.launches
     assert few.depositions == many.depositions
@@ -110,6 +151,32 @@ def test_walk_accounting_identity_always_holds():
         trace = run(cfg)
         assert trace.dropped_in_flight > 0
         assert trace.launches == trace.depositions + trace.dropped_in_flight
+
+
+@pytest.mark.parametrize("latency, advertise", [(10.0, None), (2.5, 2.0), (7.0, 0.5)])
+def test_hops_may_take_longer_than_the_advertise_period(latency, advertise):
+    # a node launches its next walks while its earlier ones are in flight
+    cfg = moving_config(hop_latency_s=latency, advertise_period_s=advertise,
+                        rw_length="3", horizon_s=120.0)
+    trace = run(cfg)
+    assert trace.depositions > 0 and trace.dropped_in_flight > 0
+    assert trace.launches == trace.depositions + trace.dropped_in_flight
+    assert trace.event_counts["launch"] == trace.launches + trace.launch_skips
+    # a walk drops iff its last hop falls after the horizon
+    from rawsim.dutycycle import awake_predicate
+
+    phases = to_ticks(trace.phases).tolist()
+    awake = awake_predicate(phases, to_ticks(cfg.period), to_ticks(cfg.t_active_s))
+    every, horizon = to_ticks(cfg.resolved_advertise_period()), to_ticks(cfg.horizon_s)
+    launched = [
+        t
+        for node, phase in enumerate(phases)
+        for t in range(phase, horizon + 1, every)
+        if awake(node, t)
+    ]
+    assert trace.launches == len(launched)
+    ends = [t + 3 * to_ticks(latency) for t in launched]
+    assert trace.dropped_in_flight == sum(end > horizon for end in ends)
 
 
 def test_run_that_neither_deposits_nor_visits_builds_no_view(monkeypatch):
@@ -196,7 +263,7 @@ def test_hop_gets_int_times_and_float_picks(monkeypatch):
         return real_hop(msg, known, awake, t, pick)
 
     monkeypatch.setattr(dissemination, "hop", recording_hop)
-    trace = run(quick_config())
+    trace = run(moving_config())
     assert trace.event_counts["hop"] > 0
     assert times == {int} and picks == {float}
 
@@ -428,7 +495,7 @@ def test_run_active_counts_equal_the_per_cell_rule(name, horizon):
 
 
 def test_view_size_series_shape_and_bound():
-    cfg = quick_config(view_policy="size:4")
+    cfg = moving_config(view_policy="size:4")
     trace = run(cfg)
     assert trace.view_sizes.shape == (61, 20)
     assert trace.view_sizes.max() <= 4
@@ -436,13 +503,13 @@ def test_view_size_series_shape_and_bound():
 
 
 def test_replicate_single_run_zero_stddev():
-    result = replicate(quick_config(replications=1))
+    result = replicate(moving_config(replications=1))
     for mean, std in result.metrics.values():
         assert std == 0.0
 
 
 def test_replicate_deterministic_aggregates():
-    cfg = quick_config(replications=3)
+    cfg = moving_config(replications=3)
     r1 = replicate(cfg)
     r2 = replicate(cfg)
     assert r1.metrics == r2.metrics
@@ -465,7 +532,7 @@ def recorded_runs(monkeypatch):
 
 
 def test_replicate_uses_consecutive_seeds(monkeypatch):
-    cfg = quick_config(replications=3)
+    cfg = moving_config(replications=3)
     traces = recorded_runs(monkeypatch)
     replicate(cfg)
     assert [t.seed for t in traces] == [5, 6, 7]

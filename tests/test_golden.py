@@ -1,4 +1,4 @@
-"""Bit-exactness reference for the event engine.
+"""Bit-exactness reference for the walk engine.
 
 Each hash is the sha256 of summary_json() + sink_csv() + samples_csv() for
 one short run of a coverage variant (n=30, horizon 120 s, sink visits from
@@ -23,35 +23,34 @@ from rawsim.experiments import (
 
 GOLDEN = {
     "normal": "e15e96afb3e53d1e1c999e9f08db5b520a69233dfb125af6b1479380238ad6d8",
-    "small-timeout": "9fef24ac67980746e38c371ea9190e3389656ce1bd7fc1d7833a6e74b9befe55",
-    "all-active": "d0b44b7ca1afb6acbce85c362c565815d455957fa534e3a003f4aef6d21bd7d7",
-    "dense": "577f919cbad36c304401167371ea1061cb2a983df0bab643724c5967cee83752",
+    "small-timeout": "576a15f3931fdc06900a4c7baf495f8ca64e953acc075ef5342a5ec3be0ea061",
+    "all-active": "1c81d1d446bd94cc08b63b203f61b8bc1cca68994ef166cf5f4edba94b318826",
+    "dense": "1deed1f7525af727e89ba005af8961293821d7e91aca3df8dbdec38f8d3aba51",
 }
 
 
 # Runs whose walk hops land at exactly the times of hellos, launches and
-# other hops, which the 0.01 s default latency does not do; these pin the
-# dispatch order of equal-time events (times are integer ticks, so such
-# ties are exact). Latencies 0.25 and 0.5 divide the
-# hello interval, so a hop usually ties with events scheduled before it;
-# at 1.5 (longer than the hello interval) a hop also ties with hellos
-# scheduled after it. Short walks make most of them end in the horizon.
+# other hops, which the 0.01 s default latency does not do (times are
+# integer ticks, so such ties are exact). These pin that a hop sees the
+# hearings of its own tick, and that the deposits of one tick replay in
+# one order. Latencies 0.25 and 0.5 divide the hello interval; 1.5 is
+# longer than it. Short walks make most of them end in the horizon.
 GOLDEN_TIES = {
-    ("normal", 0.25, "8"): "b8e1d1034ce8de3a485ebd5fd4168066978cb7912e1a867defa4cebb0606350e",
-    ("normal", 0.5, "8"): "c32fd4b55d04af89a35a523ba0925d3a695fda3398280a69ad31a9797bdf0f93",
-    ("normal", 1.5, "15"): "f55b6ab8d625d8ea4abefb08207689bba3aaa67554b81e8ea5a3341e1dcf7453",
-    ("small-timeout", 0.25, "8"): "e9c8ecc3d7f1165217332af1d3b86526580280d877e7fa2d17382d4c3864b75e",
-    ("small-timeout", 0.5, "8"): "fb08443de8832c41502cbf43c0767b1e037cdb0362a521ef5e2161f1bc326c36",
-    ("small-timeout", 1.5, "15"): "e645f4aa377f3ac3ce4f11a747216412c42b7ea29217ad8c89079ca0cecf6dbe",
-    ("all-active", 0.25, "8"): "d966c37318fde84fc5a71c0484eb2099ae7a8a0cb3e0e8ee3bc6ebe6656d6353",
-    ("all-active", 0.5, "8"): "a6959ebc4ef09aa582531ce3b48fccadfef603c24e6f12848984d576f3120c8c",
-    ("all-active", 1.5, "15"): "c5a022f2f62bc621a60b5c28dde13058a4991b9033d771af101fc731f7b5dc57",
-    ("dense", 0.25, "8"): "f96fa1742b5b4661df676ed3d953aad8f7b3fdef6d7484bd98a6c94a4ab15d4a",
-    ("dense", 0.5, "8"): "8b85fb2a890264e62a51b1d156d1a9002ba78b916ba9bea7fe5778ae19c2a049",
-    ("dense", 1.5, "15"): "c531a79a73d634ee9e20080d77a29ccced3ccb1cd1b179284bc59c7e87e6bbee",
+    ("normal", 0.25, "8"): "36fd6c1c327dc8078c36a3056142099ebe20821b9ecf923efc09beadbedfa128",
+    ("normal", 0.5, "8"): "458e7c43485fe3eb205c4c5c14deda8f252e41023de50ac6af0362ae2919742a",
+    ("normal", 1.5, "15"): "60d0e66ef6e9350a902e1106692b30444272353db1bb32b39409e357696932d6",
+    ("small-timeout", 0.25, "8"): "9eef5aafa3f884211cf5932ed495926a2aaa1a8c56ed7c2e57002ab50474ee37",
+    ("small-timeout", 0.5, "8"): "6ef0ffe881e6ce31e1e6146b049beafffd0b8df28d3e84cdb390d71ad5ec47e6",
+    ("small-timeout", 1.5, "15"): "0bb9d50d2393fc77d0011a89abf5c83481b5fb5fb1ee26f007bee4aa1f71ebbd",
+    ("all-active", 0.25, "8"): "d1243ac536d1352570622b17fee54778b5fe4e0ecfdea84ffd69318b071d63c9",
+    ("all-active", 0.5, "8"): "c992d3341d63d5d2bb563012fadc3942ce615da40a8c1facf6831cde695dac5b",
+    ("all-active", 1.5, "15"): "97923cfd56e1db96f2e15b8be82285eef7ff3017c519706aa7c0d4f3dcf37767",
+    ("dense", 0.25, "8"): "170a071335cd08a627a783e80e34b65a6cb1cf2202c2695c7acb39da0b3b7e06",
+    ("dense", 0.5, "8"): "9ac8617febb8b4e03d0422b67433331e9a37e89fcec31883352ff1e2f88f3288",
+    ("dense", 1.5, "15"): "7365cd0f326fa8de3e7236b4f40eb01c97b5fd82d38ba1d6373410c1610522b8",
     # 20 hops of 0.5 s end exactly on the sink's visit ticks, so this pins
     # that a visit collects before the deposits of its own tick
-    ("all-active", 0.5, "20"): "fd4979c62d9cba1a3602069f997d9a560d26432130fa4a0b242b33ac38980602",
+    ("all-active", 0.5, "20"): "321d5bb1bfbb62a71aa3aee55708cf1b872a51e4b11dab443fe69d2c46c936e6",
 }
 
 
