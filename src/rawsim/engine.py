@@ -289,7 +289,11 @@ BLOCK = 1024                           # walk draws per rng call
 @dataclass
 class Dispatch:
     """What dispatching hellos, launches and hops hands to the rest of a
-    run."""
+    run. run's replay pops deposits off the log, so after a run the log
+    is empty; a caller that wants it copies it first. Popping frees each
+    tuple once its view has it: a replay that indexed the log instead
+    kept all of it alive and raised the peak RSS of an n=400 run by about
+    0.5 MB."""
     deposits: list                     # (tick, storage, origin), sorted
     launch_events: int
     launches: int

@@ -50,6 +50,11 @@ class SinkReport:
         return record
 
 
+def visit_times(start_time, gap, m):
+    """The visit-time rule: visit i (from 0) is at start_time + i*gap."""
+    return tuple(start_time + i * gap for i in range(m))
+
+
 def plan_random_visits(n, m, start_time, gap, rng):
     """m nodes sampled uniformly without replacement (fresh permutations if
     m > n), visited at start_time, start_time + gap, ..."""
@@ -61,8 +66,7 @@ def plan_random_visits(n, m, start_time, gap, rng):
     while len(order) < m:
         order.extend(int(v) for v in rng.permutation(n))
     order = order[:m]
-    times = tuple(start_time + i * gap for i in range(m))
-    return VisitPlan(nodes=tuple(order), times=times)
+    return VisitPlan(nodes=tuple(order), times=visit_times(start_time, gap, m))
 
 
 def collect_origins(node, view):

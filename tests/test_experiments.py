@@ -1,10 +1,13 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from rawsim.engine import SimConfig
+from rawsim.engine import SimConfig, replicate, run
 from rawsim.errors import InvalidConfigError
 from rawsim.experiments import (
+    COVERAGE_VARIANTS,
     DELTA_GRID,
     active_sweep_config,
     apply_param,
@@ -13,6 +16,7 @@ from rawsim.experiments import (
     exp_active_vs_delta,
     exp_coverage,
     run_sweep,
+    until_last_visit,
 )
 
 
@@ -98,6 +102,44 @@ def test_exp_coverage_dataset_shape():
     # predicted column follows the clamped i*(sqrt(n)-1) curve
     predicted = dataset.column("predicted_coverage")
     assert predicted[0] == pytest.approx(0.09)
+
+
+def test_exp_coverage_equals_the_uncut_runs():
+    # exp_coverage ends its runs at the last visit; the 1000 s runs give
+    # the same coverage
+    dataset = exp_coverage("all-active", runs=2, seed=9)
+    uncut = replicate(coverage_config("all-active", seed=9, runs=2))
+    assert dataset.column("mean_coverage") == uncut.coverage_mean().tolist()
+    assert dataset.column("stddev_coverage") == uncut.coverage_std().tolist()
+
+
+@settings(max_examples=64, deadline=None)
+@given(
+    variant=st.sampled_from(COVERAGE_VARIANTS),
+    n=st.integers(10, 40),
+    seed=st.integers(0, 10_000),
+    latency=st.sampled_from([0.01, 0.25, 0.5, 1.5]),
+    rw_length=st.sampled_from(["0", "1", "3", "8", "n/2"]),
+    view=st.sampled_from(["size:2", "size:sqrt", "timeout:4", "timeout:15"]),
+    wake=st.booleans(),
+    start=st.sampled_from([0.0, 5.0, 20.0, 47.5]),
+    gap=st.sampled_from([0.0, 0.5, 3.0, 10.0]),
+    visits=st.integers(1, 12),
+    # a horizon below start + (visits - 1) * gap cuts nothing
+    horizon=st.sampled_from([30.0, 60.0, 120.0]),
+)
+def test_a_run_cut_at_its_last_visit_has_the_same_sink_output(
+    variant, n, seed, latency, rw_length, view, wake, start, gap, visits, horizon
+):
+    cfg = coverage_config(variant, seed=seed).with_updates(
+        n=n, hop_latency_s=latency, rw_length=rw_length, view_policy=view,
+        sink_wake_sleeping=wake, sink_start_s=start, sink_gap_s=gap,
+        sink_visits=visits, horizon_s=horizon,
+    )
+    cut = until_last_visit(cfg)
+    last = start + (visits - 1) * gap
+    assert cut.horizon_s == (min(horizon, last) if last > 0 else horizon)
+    assert run(cut).sink_csv() == run(cfg).sink_csv()
 
 
 def test_run_sweep_deterministic_csv():

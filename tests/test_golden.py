@@ -12,6 +12,7 @@ import hashlib
 
 import pytest
 
+from rawsim import engine
 from rawsim.engine import run
 from rawsim.experiments import (
     COVERAGE_VARIANTS,
@@ -20,6 +21,11 @@ from rawsim.experiments import (
     coverage_config,
     exp_active_vs_delta,
 )
+
+
+def sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
 
 GOLDEN = {
     "normal": "e15e96afb3e53d1e1c999e9f08db5b520a69233dfb125af6b1479380238ad6d8",
@@ -93,15 +99,33 @@ def test_golden_deposits_at_a_visit_tick_are_bit_exact():
     assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_FIRST_VISIT_DEPOSITS
 
 
+# The sorted deposit log (tick, storage, origin) of one normal run: n=100,
+# seed 42, horizon 300 s. GOLDEN["normal"] and the normal coverage curve
+# can stay the same when the draw each hop takes changes; this log cannot.
+GOLDEN_NORMAL_DEPOSITS = "24ec5992e2c6edefc100ba4278436384d590ac062f354bf3d9f88db1de975e1d"
+
+
+def test_golden_normal_deposit_log_is_bit_exact(monkeypatch):
+    logs = []
+    real_dispatch = engine.dispatch
+
+    def recording_dispatch(*args):
+        walked = real_dispatch(*args)
+        logs.append(sorted(walked.deposits))  # a copy: the replay empties the log
+        return walked
+
+    monkeypatch.setattr(engine, "dispatch", recording_dispatch)
+    trace = run(coverage_config("normal", seed=42).with_updates(horizon_s=300.0))
+    assert trace.depositions == len(logs[0]) > 0
+    text = "".join(f"{t},{storage},{origin}\n" for t, storage, origin in logs[0])
+    assert sha256(text) == GOLDEN_NORMAL_DEPOSITS
+
+
 # The active-node analysis: a small delta sweep, and a run at delta 0.9
 # with zero timeouts, where every phase is 0 and every window edge falls
 # exactly on an integer sample time.
 GOLDEN_SWEEP = "a0450f5a400291595b37a4b0e3bd467fbf3feee1b623cc88b676778bceaf65fc"
 GOLDEN_EDGES = "848cb7e8f2f8c02a4039da99ddbb0cde794058f02a48d4b3904356477ebb16b2"
-
-
-def sha256(text):
-    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def test_golden_active_sweep_is_bit_exact():
