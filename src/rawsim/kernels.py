@@ -24,18 +24,32 @@ import numpy as np
 
 BACKEND = "numpy"
 
+# pairs compared per adjacency block: 128 KB per float64 temporary
+BLOCK_CELLS = 1 << 14
+
 
 def adjacency_csr(xs, ys, radio_range):
-    """Closed-disk adjacency as CSR (indptr, indices), neighbors sorted."""
+    """Closed-disk adjacency as CSR (indptr, indices), neighbors sorted.
+
+    Compares one block of rows with all n points at a time, each block
+    about BLOCK_CELLS pairs, so memory is O(BLOCK_CELLS + E) for E
+    directed edges. Each pair is tested as dx*dx + dy*dy <= r*r, so the
+    result equals the dense n x n comparison."""
     n = xs.shape[0]
-    dx = xs[:, None] - xs[None, :]
-    dy = ys[:, None] - ys[None, :]
-    adj = dx * dx + dy * dy <= radio_range * radio_range
-    np.fill_diagonal(adj, False)
-    rows, cols = np.nonzero(adj)
+    r2 = radio_range * radio_range
+    rows = max(1, BLOCK_CELLS // max(n, 1))
     indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
-    return indptr, cols.astype(np.int64)
+    cols = [np.zeros(0, dtype=np.int64)]
+    for lo in range(0, n, rows):
+        hi = min(lo + rows, n)
+        dx = xs[lo:hi, None] - xs[None, :]
+        dy = ys[lo:hi, None] - ys[None, :]
+        adj = dx * dx + dy * dy <= r2
+        np.fill_diagonal(adj[:, lo:], False)  # row i of the block is node lo + i
+        indptr[lo + 1:hi + 1] = np.count_nonzero(adj, axis=1)
+        cols.append(np.flatnonzero(adj) % n)
+    np.cumsum(indptr, out=indptr)
+    return indptr, np.concatenate(cols).astype(np.int64, copy=False)
 
 
 def awake(dt, period, t_active):

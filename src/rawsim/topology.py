@@ -8,6 +8,7 @@ neighbor selection consumes the RNG deterministically.
 
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import pairwise
 
 import numpy as np
 
@@ -46,9 +47,8 @@ def build_adjacency(positions, radio_range):
     xs = np.ascontiguousarray(positions[:, 0])
     ys = np.ascontiguousarray(positions[:, 1])
     indptr, indices = kernels.adjacency_csr(xs, ys, float(radio_range))
-    neighbors = tuple(
-        tuple(int(j) for j in indices[indptr[i]:indptr[i + 1]]) for i in range(n)
-    )
+    ids = indices.tolist()
+    neighbors = tuple(tuple(ids[a:b]) for a, b in pairwise(indptr.tolist()))
     return Topology(n=n, positions=positions, neighbors=neighbors)
 
 

@@ -1,8 +1,24 @@
-"""Reference implementations that tests compare the model with: a sampling
+"""Reference implementations that tests compare the model with: the dense
+disk-graph adjacency that kernels.adjacency_csr must equal, a sampling
 oracle for analytic values, the scalar hello that
 dissemination.discover must equal, and the event-queue dispatch that
 engine.dispatch must equal bit for bit given the same draws for each
 walk."""
+
+import numpy as np
+
+
+def dense_adjacency(xs, ys, radio_range):
+    """Reference for kernels.adjacency_csr: the whole n x n comparison."""
+    n = xs.shape[0]
+    dx = xs[:, None] - xs[None, :]
+    dy = ys[:, None] - ys[None, :]
+    adj = dx * dx + dy * dy <= radio_range * radio_range
+    np.fill_diagonal(adj, False)
+    rows, cols = np.nonzero(adj)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+    return indptr, cols.astype(np.int64)
 
 
 def mean_ideal_intersection(n, k, pairs, rng):

@@ -1,10 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import dense_adjacency
 from rawsim import dutycycle, kernels
 from rawsim.dutycycle import to_ticks
 from rawsim.engine import rng_stream
@@ -124,3 +126,60 @@ def test_active_counts_on_one_sample(t_active, t):
     awake = dutycycle.awake_predicate(phases, 10, t_active)
     counts = kernels.active_counts(phases, 10, t_active, np.array([t]))
     assert counts.tolist() == [sum(awake(i, t) for i in range(4))]
+
+
+def block_edge_sizes():
+    """Node counts below 700 of two or more adjacency blocks whose last
+    block is one row short of, exactly or one row over a whole block."""
+    sizes = []
+    for n in range(2, 700):
+        rows = max(1, kernels.BLOCK_CELLS // n)
+        if n > rows and n % rows in (0, 1, rows - 1):
+            sizes.append(n)
+    return sizes
+
+
+@st.composite
+def point_sets(draw):
+    """(xs, ys, r): uniform points, points drawn from a few shared
+    positions, or integer-grid points with an integer range, so that many
+    pairs are exactly r apart; from 0 points to several blocks."""
+    n = draw(st.one_of(st.integers(0, 30), st.sampled_from(block_edge_sizes())))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    layout = draw(st.sampled_from(("uniform", "duplicates", "grid")))
+    if layout == "grid":
+        side = draw(st.integers(1, 40))
+        xs, ys = rng.integers(0, side + 1, (2, n)).astype(np.float64)
+        return xs, ys, float(draw(st.integers(1, side)))
+    if layout == "duplicates":
+        pool = rng.uniform(0.0, 100.0, (2, draw(st.integers(1, 8))))
+        xs, ys = pool[:, rng.integers(0, pool.shape[1], n)]
+    else:
+        xs, ys = rng.uniform(0.0, draw(st.sampled_from((10.0, 100.0, 1000.0))), (2, n))
+    return xs, ys, draw(st.floats(0.5, 300.0))
+
+
+@settings(max_examples=150, deadline=None)
+@given(point_sets())
+def test_adjacency_equals_the_dense_rule(points):
+    xs, ys, r = points
+    indptr, indices = kernels.adjacency_csr(xs, ys, r)
+    dense_indptr, dense_indices = dense_adjacency(xs, ys, r)
+    assert indptr.dtype == dense_indptr.dtype == np.int64
+    assert indices.dtype == dense_indices.dtype == np.int64
+    assert np.array_equal(indptr, dense_indptr)
+    assert np.array_equal(indices, dense_indices)
+
+
+def test_adjacency_memory_is_bounded():
+    """2,000 points at degree about 310: the dense n x n comparison
+    allocates about 122 MB; blocks of BLOCK_CELLS pairs keep the peak at
+    about twice the 5 MB edge list."""
+    xs, ys = rng_stream(3, "placement").uniform(0.0, 1000.0, (2, 2000))
+    tracemalloc.start()
+    try:
+        kernels.adjacency_csr(xs, ys, 250.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from rawsim import kernels
 from rawsim.engine import rng_stream
 from rawsim.errors import InvalidConfigError, PlacementParseError
 from rawsim.topology import (
@@ -92,6 +93,16 @@ def test_adjacency_symmetric_and_sorted(points, r):
         assert i not in nbrs
         for j in nbrs:
             assert i in top.neighbors[j]
+
+
+def test_neighbors_are_python_ints():
+    """Neighbour tuples hold Python ints, in the CSR's order."""
+    pos = place_uniform(400, 1000.0, 1000.0, rng_stream(1, "placement"))
+    top = build_adjacency(pos, 250.0)
+    indptr, indices = kernels.adjacency_csr(pos[:, 0].copy(), pos[:, 1].copy(), 250.0)
+    assert [len(nbrs) for nbrs in top.neighbors] == np.diff(indptr).tolist()
+    assert [j for nbrs in top.neighbors for j in nbrs] == indices.tolist()
+    assert all(type(j) is int for nbrs in top.neighbors for j in nbrs)
 
 
 def test_load_placement_roundtrip():
