@@ -25,7 +25,7 @@ def to_ticks(seconds):
     """Seconds as whole ticks, rounded half to even: an int for a scalar,
     an int64 array for an array."""
     ticks = np.rint(np.multiply(seconds, TICKS_PER_S))
-    if not np.all(np.abs(ticks) < 2.0**63):
+    if not (np.abs(ticks) < 2.0**63).all():  # the method costs less than np.all
         raise InvalidConfigError(f"time out of the int64 tick range: {seconds} s")
     ticks = ticks.astype(np.int64)
     return int(ticks) if ticks.ndim == 0 else ticks

@@ -23,9 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import dissemination, dutycycle, kernels, sink, topology as topo
-from .dissemination import (
-    RWMessage, TimeoutBased, View, parse_view_policy, resolve_rw_length,
-)
+from .dissemination import TimeoutBased, View, parse_view_policy, resolve_rw_length
 from .errors import InvalidConfigError, SetupError
 
 def rng_stream(seed, label):
@@ -90,16 +88,28 @@ class SimConfig:
             )
         # validate eagerly so bad configs fail before a run starts
         self.resolved_rw_length()
-        for name, seconds in self.tick_durations().items():
-            if dutycycle.to_ticks(seconds) < 1:
-                raise InvalidConfigError(
-                    f"{name} must be at least one tick ({dutycycle.TICK_S:g} s), "
-                    f"got {seconds}"
-                )
         if self.sink_enabled and self.resolved_sink_visits() < 1:
             raise InvalidConfigError("sink_visits must be >= 1")
         if self.sink_gap_s < 0 or self.sink_start_s < 0:
             raise InvalidConfigError("sink timing must be >= 0")
+        # the latest times a run turns into ticks (the horizon, the last
+        # phase and the last visit) and every duration must fit in int64 ticks
+        times = {"horizon_s": self.horizon_s, "timeout_max_s": self.resolved_timeout_max()}
+        if self.sink_enabled:
+            m = self.resolved_sink_visits()
+            last = sink.visit_times(self.sink_start_s, self.sink_gap_s, m)[-1]
+            times["sink_start_s + (sink_visits - 1) * sink_gap_s"] = last
+        durations = self.tick_durations()
+        for name, seconds in {**times, **durations}.items():
+            try:
+                ticks = dutycycle.to_ticks(seconds)
+            except InvalidConfigError as exc:
+                raise InvalidConfigError(f"{name}: {exc}") from None
+            if name in durations and ticks < 1:
+                raise InvalidConfigError(
+                    f"{name} must be at least one tick ({dutycycle.TICK_S:g} s), "
+                    f"got {seconds}"
+                )
 
     @property
     def period(self):
@@ -326,13 +336,14 @@ def dispatch(phases, awake, adjacency, ticks, horizon, rw_length, rng):
     horizon. Returns the deposit log and the walk counters.
 
     Walk w, launched at T_w, makes hop k at T_w + k*hop_latency for
-    k <= min(rw_length, (horizon - T_w) // hop_latency); a walk that makes
-    fewer than rw_length hops is dropped in flight. Walks never interact,
-    so they go one after another in launch order, each making its hops in
-    order, and the j-th hop counted this way takes the j-th draw of rng,
-    drawn BLOCK at a time. A hop at tick t knows the senders its node first
-    heard at ticks <= t. A walk deposits at its last hop, or at its launch
-    when rw_length is 0. Times are Python ints and picks Python floats.
+    k <= min(rw_length, (horizon - T_w) // hop_latency). Walks never
+    interact, so they go one after another in launch order, each making
+    its hops in order, and the j-th hop counted this way takes the j-th
+    draw of rng, drawn BLOCK at a time. A hop at tick t knows the senders
+    its node first heard at ticks <= t. A walk is the node holding it: one
+    that made rw_length hops deposits there at T_w + rw_length*hop_latency
+    (at its launch when rw_length is 0), and any other is dropped in
+    flight. Times are Python ints and picks Python floats.
     """
     hop_latency = ticks["hop_latency_s"]
     hop = dissemination.hop
@@ -347,25 +358,24 @@ def dispatch(phases, awake, adjacency, ticks, horizon, rw_length, rng):
     launch_events, start, origin = launch_schedule(phases, ticks, horizon)
     made = np.minimum(rw_length, (horizon - start) // hop_latency)  # hops per walk
     deposits = []
-    if rw_length == 0:
-        deposits = list(zip(start.tolist(), origin.tolist(), origin.tolist()))
     picks = itertools.chain.from_iterable(iter(lambda: rng.random(BLOCK).tolist(), None))
     for o, launched, hops in zip(map(int, origin), map(int, start), map(int, made)):
-        msg = RWMessage(o, rw_length, o)
-        steps = range(launched + hop_latency, launched + hops * hop_latency + 1, hop_latency)
+        node, end = o, launched + hops * hop_latency
+        steps = range(launched + hop_latency, end + 1, hop_latency)
         for t, pick in zip(steps, picks):  # no tick, no draw
-            table = known[msg.current]
+            table = known[node]
             if t < settled:
-                table = table[:bisect.bisect_right(heard_at[msg.current], t)]
-            if hop(msg, table, awake, t, pick):
-                deposits.append((t, msg.current, o))
+                table = table[:bisect.bisect_right(heard_at[node], t)]
+            node = hop(node, table, awake, t, pick)
+        if hops == rw_length:
+            deposits.append((end, node, o))
     deposits.sort()
     return Dispatch(
         deposits=deposits,
         launch_events=launch_events,
         launches=int(start.size),
         hops=int(made.sum()),
-        dropped=int(np.count_nonzero(made < rw_length)),
+        dropped=int(start.size) - len(deposits),
     )
 
 
@@ -400,7 +410,7 @@ def run(config, topology=None):
 
     event_counts = {"hello": 0, "launch": 0, "hop": 0, "visit": 0}
     walked = Dispatch(deposits=[], launch_events=0, launches=0, hops=0, dropped=0)
-    if config.dissemination_enabled and horizon > 0:
+    if config.dissemination_enabled:
         sending = phases[phases <= horizon]
         event_counts["hello"] = int(((horizon - sending) // ticks["hello_interval_s"] + 1).sum())
         walked = dispatch(
@@ -413,7 +423,7 @@ def run(config, topology=None):
 
     report = None
     visits = []                        # (tick, node, time in seconds)
-    if config.sink_enabled and horizon > 0:
+    if config.sink_enabled:
         plan = sink.plan_random_visits(
             n, config.resolved_sink_visits(), config.sink_start_s, config.sink_gap_s,
             rng_stream(config.seed, "sink"),

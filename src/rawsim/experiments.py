@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dutycycle import to_ticks
 from .engine import SimConfig, build_topology, fmt, replicate
 from .errors import InvalidConfigError
 from .sink import predicted_coverage, visit_times
@@ -152,11 +151,8 @@ def coverage_config(variant, seed=0, runs=15):
 
 def until_last_visit(config):
     """config with its horizon cut at the sink's last visit, if that comes
-    earlier. A run of horizon 0 has no sink, so a last visit at tick 0
-    cuts nothing."""
+    earlier."""
     last = visit_times(config.sink_start_s, config.sink_gap_s, config.resolved_sink_visits())[-1]
-    if to_ticks(last) == 0:
-        return config
     return config.with_updates(horizon_s=min(config.horizon_s, last))
 
 

@@ -5,6 +5,8 @@ dissemination.discover must equal, and the event-queue dispatch that
 engine.dispatch must equal bit for bit given the same draws for each
 walk."""
 
+from dataclasses import dataclass
+
 import numpy as np
 
 
@@ -44,13 +46,34 @@ def hello_tick(node, now, neighbors, awake, known):
     return first
 
 
+@dataclass
+class RWMessage:
+    """The reference's walk in flight: its origin, the hops it has left
+    (ttl) and the node holding it."""
+    origin: int
+    ttl: int
+    current: int
+
+
+def step(msg, known, awake, t, pick):
+    """One ttl-consuming hop of msg at tick t, through dissemination.hop.
+    Returns True when ttl hits zero: msg.current is then the storage node."""
+    from rawsim import dissemination
+
+    msg.ttl -= 1
+    msg.current = dissemination.hop(msg.current, known, awake, t, pick)
+    return msg.ttl == 0
+
+
 def dispatch(phases, awake, adjacency, ticks, horizon, rw_length, rng):
     """Reference for engine.dispatch, with the same arguments and result:
     one event at a time in (tick, seq) order. Hellos and launches wait in
     a heap. Hops wait in a first-in-first-out queue, which stays sorted by
     (tick, seq) because every hop is due hop_latency after the event being
     dispatched, whose tick never decreases. Hellos are dispatched until
-    discovery settles, at max(phase) + lcm(hello_interval, U)."""
+    discovery settles, at max(phase) + lcm(hello_interval, U). Each walk
+    is an RWMessage that deposits where step ends it, when its ttl hits
+    zero; one launched with a ttl of zero deposits at once."""
     import heapq
     import math
     from collections import deque
@@ -91,7 +114,7 @@ def dispatch(phases, awake, adjacency, ticks, horizon, rw_length, rng):
         if hops and (not heap or hops[0] < heap[0]):
             t, _, msg = hops.popleft()
             hops_made += 1
-            if dissemination.hop(msg, known[msg.current], awake, t, draw()):
+            if step(msg, known[msg.current], awake, t, draw()):
                 deposits.append((t, msg.current, msg.origin))
             elif t + hop_latency <= horizon:
                 hops.append((t + hop_latency, seq, msg))
@@ -111,10 +134,10 @@ def dispatch(phases, awake, adjacency, ticks, horizon, rw_length, rng):
         launch_events += 1
         if awake(node, t):
             launches += 1
-            if rw_length == 0:
-                deposits.append((t, node, node))
+            msg = RWMessage(node, rw_length, node)
+            if msg.ttl == 0:
+                deposits.append((t, msg.current, msg.origin))
             elif t + hop_latency <= horizon:
-                msg = dissemination.RWMessage(node, rw_length, node)
                 hops.append((t + hop_latency, seq, msg))
                 seq += 1
             else:

@@ -10,7 +10,7 @@ import pytest
 from scipy import stats
 
 from rawsim.cli import cli
-from rawsim.dissemination import RWMessage, hop
+from rawsim.dissemination import hop
 from rawsim.engine import SimConfig, replicate, rng_stream, run
 from rawsim.experiments import (
     DELTA_GRID,
@@ -101,12 +101,10 @@ def test_criterion_5_walk_terminal_uniform_on_k10():
     known = [[j for j in range(n) if j != i] for i in range(n)]
     counts = np.zeros(n, dtype=int)
     for w in range(walks):
-        start = w % n
-        msg = RWMessage(start, length, start)
-        while not hop(msg, known[msg.current], lambda _v, _t: True, 0.0,
-                      rng.random()):
-            pass
-        counts[msg.current] += 1
+        node = w % n
+        for _ in range(length):
+            node = hop(node, known[node], lambda _v, _t: True, 0.0, rng.random())
+        counts[node] += 1
     pvalue = stats.chisquare(counts).pvalue
     ok = pvalue > 0.01
     report(5, ok, f"chi-square p={pvalue:.3f} > 0.01 for 10^4 walk terminals on K10")

@@ -48,20 +48,20 @@ class Replayed:
 
 
 def reference_draws(fn, ticks, horizon, rw_length):
-    """fn, a dispatcher that draws through dissemination.hop, wrapped to
-    sort its deposit log and to record the draw it gives each walk's hops,
-    keyed by (launch tick, origin)."""
+    """fn, a dispatcher that steps its walks through oracles.step, wrapped
+    to sort its deposit log and to record the draw it gives each walk's
+    hops, keyed by (launch tick, origin) from the walk's own record."""
     draws = {}
 
     def dispatcher(phases, *args):
-        real_hop = dissemination.hop
+        real_step = oracles.step
 
-        def recording_hop(msg, known, awake, t, pick):
+        def recording_step(msg, known, awake, t, pick):
             launched = t - (rw_length - msg.ttl + 1) * ticks["hop_latency_s"]
             draws.setdefault((launched, msg.origin), []).append(pick)
-            return real_hop(msg, known, awake, t, pick)
+            return real_step(msg, known, awake, t, pick)
 
-        with patched(dissemination, "hop", recording_hop):
+        with patched(oracles, "step", recording_step):
             result = fn(phases, *args)
         result.deposits.sort()
         return result
@@ -327,3 +327,41 @@ def test_a_hearing_on_a_hop_tick_decides_the_storage_node(
     deposits = {origin: (t, node) for t, node, origin in closed.deposits}
     launched = schedule["phases"][walk]
     assert deposits[walk] == (launched + rw_length * S // 4, storage)
+
+
+# Three nodes of phase 0 hear each other at tick 0 and launch every 10
+# ticks. Each is awake only in the first tick of its period, so at every hop,
+# on ticks 1 to 5 after a launch, every known neighbour is asleep and the
+# pick stalls. The walk launched at 90 has 4 hops before the horizon at 94.
+STALLING = dict(
+    phases=[0, 0, 0], period=10, t_active=1,
+    adjacency=[[1, 2], [0, 2], [0, 1]],
+    ticks={"period": 10, "t_active_s": 1, "hello_interval_s": 1, "hop_latency_s": 1,
+           "advertise_period_s": 10},
+    horizon=94, rw_length=5,
+)
+
+
+def test_a_walk_whose_every_pick_stalls_deposits_at_its_origin():
+    closed, known = dispatched(engine.dispatch, **STALLING, rng=rng_stream(1, "walks"))
+    assert known == STALLING["adjacency"]
+    assert closed.deposits == [(t + 5, o, o) for t in range(0, 90, 10) for o in range(3)]
+    assert (closed.launches, closed.dropped) == (30, 3)
+    assert closed.hops == 27 * 5 + 3 * 4
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_schedules())
+def test_dispatch_counts_rw_length_hops_per_deposited_walk(schedule):
+    # a walk whose rw_length hops fit before the horizon deposits at its
+    # last one; any other is dropped after the hops that fit
+    args = {k: v for k, v in schedule.items() if k != "seed"}
+    closed, _ = dispatched(engine.dispatch, **args, rng=rng_stream(schedule["seed"], "walks"))
+    ticks, horizon, length = schedule["ticks"], schedule["horizon"], schedule["rw_length"]
+    latency = ticks["hop_latency_s"]
+    _, start, origin = engine.launch_schedule(schedule["phases"], ticks, horizon)
+    fit = [(horizon - t) // latency for t in start.tolist()]
+    whole = [(t, o) for t, o, k in zip(start.tolist(), origin.tolist(), fit) if k >= length]
+    assert sorted((t - length * latency, o) for t, _, o in closed.deposits) == sorted(whole)
+    assert closed.dropped == closed.launches - len(whole)
+    assert closed.hops == length * len(whole) + sum(k for k in fit if k < length)

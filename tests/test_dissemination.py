@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from rawsim.dissemination import (
-    RWMessage,
     SizeBased,
     TimeoutBased,
     View,
@@ -76,43 +75,16 @@ def test_pick_next_timeout_neighbor_stalls():
 
 
 def test_hop_single_step_terminates_at_neighbor():
-    msg = RWMessage(origin=0, ttl=1, current=0)
-    done = hop(msg, [5], always_active, 0.0, 0.0)
-    assert done
-    assert msg.current == 5
-    assert msg.ttl == 0
-
-
-def test_hop_all_sleep_terminates_at_origin():
-    # 3-node oracle: every pick stalls, ttl still drains one per step
-    msg = RWMessage(origin=0, ttl=5, current=0)
-    steps = 0
-    while not hop(msg, [1, 2], always_sleep, 0.0, 0.5):
-        steps += 1
-    assert steps == 4
-    assert msg.current == 0
-    assert msg.ttl == 0
-
-
-def test_hop_ttl_strictly_decreasing():
-    msg = RWMessage(origin=0, ttl=10, current=0)
-    seen = []
-    done = False
-    while not done:
-        done = hop(msg, [1, 2, 3], always_active, 0.0, 0.1)
-        seen.append(msg.ttl)
-    assert seen == list(range(9, -1, -1))
+    assert hop(0, [5], always_active, 0.0, 0.0) == 5
 
 
 def test_hop_moves_only_to_listed_neighbors():
     rng = rng_stream(3, "walks")
     known = {0: [1, 2], 1: [0], 2: [0, 1]}
-    msg = RWMessage(origin=0, ttl=30, current=0)
-    done = False
-    while not done:
-        before = msg.current
-        done = hop(msg, known[msg.current], always_active, 0.0, rng.random())
-        assert msg.current == before or msg.current in known[before]
+    node = 0
+    for _ in range(30):
+        before, node = node, hop(node, known[node], always_active, 0.0, rng.random())
+        assert node == before or node in known[before]
 
 
 def test_terminal_uniform_on_complete_graph():
@@ -124,11 +96,10 @@ def test_terminal_uniform_on_complete_graph():
     known = [[j for j in range(n) if j != i] for i in range(n)]
     counts = np.zeros(n, dtype=int)
     for w in range(walks):
-        start = w % n
-        msg = RWMessage(origin=start, ttl=length, current=start)
-        while not hop(msg, known[msg.current], always_active, 0.0, rng.random()):
-            pass
-        counts[msg.current] += 1
+        node = w % n
+        for _ in range(length):
+            node = hop(node, known[node], always_active, 0.0, rng.random())
+        counts[node] += 1
     result = stats.chisquare(counts)
     assert result.pvalue > 0.01
 

@@ -109,6 +109,18 @@ def test_zero_horizon_single_sample_no_events():
     assert sum(trace.event_counts.values()) == 0
 
 
+def test_tick_zero_is_inside_a_zero_horizon():
+    # every phase is 0, so at tick 0 each node sends a hello and launches a
+    # walk of no hops, which deposits at once; the one visit is at tick 0
+    n = 10
+    trace = run(SimConfig(n=n, timeout_max_s=0.0, rw_length="0", horizon_s=0.0,
+                          sink_start_s=0.0, sink_visits=1, seed=3))
+    assert trace.launches == trace.depositions == n
+    assert trace.event_counts["hello"] == n
+    assert len(trace.sink_report.visits) == 1
+    assert len(trace.sink_csv().splitlines()) == 2
+
+
 def test_sink_plan_does_not_perturb_other_streams():
     few = run(moving_config(sink_visits=3))
     many = run(moving_config(sink_visits=12))
@@ -257,10 +269,10 @@ def test_hop_gets_int_times_and_float_picks(monkeypatch):
     times, picks = set(), set()
     real_hop = dissemination.hop
 
-    def recording_hop(msg, known, awake, t, pick):
+    def recording_hop(node, known, awake, t, pick):
         times.add(type(t))
         picks.add(type(pick))
-        return real_hop(msg, known, awake, t, pick)
+        return real_hop(node, known, awake, t, pick)
 
     monkeypatch.setattr(dissemination, "hop", recording_hop)
     trace = run(moving_config())

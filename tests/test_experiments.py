@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rawsim import engine
 from rawsim.engine import SimConfig, replicate, run
 from rawsim.errors import InvalidConfigError
 from rawsim.experiments import (
@@ -48,12 +49,19 @@ def test_apply_param_regular_key():
         apply_param(cfg, "delta", "abc")
 
 
-def test_run_sweep_validates_values():
+def test_run_sweep_validates_values(monkeypatch):
     base = active_sweep_config(25)
     with pytest.raises(InvalidConfigError):
         run_sweep("empty", base, "delta", ())
     with pytest.raises(InvalidConfigError):
         run_sweep("bad", base, "no_such_key", (1,))
+    # a horizon past the int64 tick range fails before the first run
+    def no_run(*args, **kwargs):
+        raise AssertionError("a run started before every value was checked")
+
+    monkeypatch.setattr(engine, "run", no_run)
+    with pytest.raises(InvalidConfigError, match="horizon_s"):
+        run_sweep("far", base, "horizon_s", ("10", "1e13"))
 
 
 def test_exp_active_vs_delta_rows_and_expectation():
@@ -138,7 +146,7 @@ def test_a_run_cut_at_its_last_visit_has_the_same_sink_output(
     )
     cut = until_last_visit(cfg)
     last = start + (visits - 1) * gap
-    assert cut.horizon_s == (min(horizon, last) if last > 0 else horizon)
+    assert cut.horizon_s == min(horizon, last)
     assert run(cut).sink_csv() == run(cfg).sink_csv()
 
 
