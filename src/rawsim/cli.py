@@ -17,7 +17,7 @@ import numpy as np
 from . import topology
 from .configfile import load_config
 from .engine import SimConfig, fmt, rng_stream, run
-from .errors import InvalidConfigError, PlacementParseError, SetupError
+from .errors import InvalidConfigError, PlacementParseError
 from .experiments import all_figures, run_sweep
 
 
@@ -190,7 +190,7 @@ def cli(argv=None):
         return int(exc.code or 0)
     try:
         return COMMANDS[args.command](args)
-    except (InvalidConfigError, PlacementParseError, SetupError, FileNotFoundError) as exc:
+    except (InvalidConfigError, PlacementParseError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -34,6 +34,8 @@ class TimeoutBased:
     tau: float
 
     def __post_init__(self):
+        if not math.isfinite(self.tau):
+            raise InvalidConfigError(f"view timeout must be finite, got {self.tau}")
         if self.tau <= 0:
             raise InvalidConfigError(f"view timeout must be > 0, got {self.tau}")
 

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import dissemination, dutycycle, kernels, sink, topology as topo
 from .dissemination import TimeoutBased, View, parse_view_policy, resolve_rw_length
-from .errors import InvalidConfigError, SetupError
+from .errors import InvalidConfigError
 
 def rng_stream(seed, label):
     """Independent Philox stream for one purpose within one run."""
@@ -59,8 +59,6 @@ class SimConfig:
     horizon_s: float = 500.0
     seed: int = 0
     replications: int = 15
-    fixed_topology: bool = False
-    require_connected: bool = False
 
     def __post_init__(self):
         if self.n < 1:
@@ -266,12 +264,6 @@ def fmt(x):
     return f"{float(x):.6g}"
 
 
-def reads_topology(config):
-    """Whether a run reads the topology: hellos need it, and so does the
-    connectivity check."""
-    return config.dissemination_enabled or config.require_connected
-
-
 def build_topology(config):
     if config.placement_file:
         try:
@@ -379,24 +371,16 @@ def dispatch(phases, awake, adjacency, ticks, horizon, rw_length, rng):
     )
 
 
-def run(config, topology=None):
+def run(config):
     """Execute one simulation; identical (config, seed) gives an identical
-    trace. A topology may be passed in to share placement across runs; it
-    is built only if hellos or require_connected read it.
+    trace. The run builds its own topology, and only if it disseminates:
+    hellos are the only thing that reads it.
 
     Every time in a run is an int number of ticks. No walk reads a view, so
     dispatch only logs deposits; views and sink visits are replayed after
     it. event_counts["hello"] counts every hello sent up to the horizon, in
     closed form."""
     n = config.n
-    adjacency = ()
-    if reads_topology(config):
-        if topology is None:
-            topology = build_topology(config)
-        if config.require_connected and not topo.is_connected(topology):
-            raise SetupError("topology is disconnected but require_connected is set")
-        adjacency = topology.neighbors
-
     to_ticks = dutycycle.to_ticks
     ticks = {name: to_ticks(sec) for name, sec in config.tick_durations().items()}
     drawn = dutycycle.draw_phases(
@@ -414,8 +398,8 @@ def run(config, topology=None):
         sending = phases[phases <= horizon]
         event_counts["hello"] = int(((horizon - sending) // ticks["hello_interval_s"] + 1).sum())
         walked = dispatch(
-            phases, awake, adjacency, ticks, horizon, config.resolved_rw_length(),
-            rng_stream(config.seed, "walks"),
+            phases, awake, build_topology(config).neighbors, ticks, horizon,
+            config.resolved_rw_length(), rng_stream(config.seed, "walks"),
         )
         event_counts["launch"] = walked.launch_events
         event_counts["hop"] = walked.hops
@@ -523,18 +507,14 @@ class ReplicateResult:
 
 def replicate(config):
     """config.replications independent executions with seeds seed, seed+1,
-    ...; aggregates every scalar metric. With fixed_topology the placement
-    of the base seed is shared; otherwise each run redraws its own."""
-    shared = None
-    if config.fixed_topology and reads_topology(config):
-        shared = build_topology(config)
+    ...; aggregates every scalar metric."""
     # each trace is read as soon as it ends and then dropped, so only one
     # run's arrays are alive at a time
     scalars = {}
     coverage = []
     for i in range(config.replications):
         cfg = config.with_updates(seed=config.seed + i)
-        trace = run(cfg, topology=shared)
+        trace = run(cfg)
         for name, value in trace.summary().items():
             scalars.setdefault(name, []).append(float(value))
         if trace.sink_report is not None:

@@ -8,7 +8,3 @@ class InvalidConfigError(ValueError):
 class PlacementParseError(ValueError):
     """A placement file is malformed; the message names the offending line."""
 
-
-class SetupError(RuntimeError):
-    """A run cannot start, e.g. the topology is disconnected but the
-    config demands connectivity."""

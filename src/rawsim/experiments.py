@@ -69,14 +69,16 @@ def apply_param(config, name, value):
     return config.with_updates(**{name: coerced})
 
 
-def active_sweep_config(n, period=10.0, horizon=500.0, seed=0, runs=15):
-    """Active/sleep analysis runs with dissemination and the sink disabled."""
+def active_sweep_config(n, seed=0, runs=15):
+    """Active/sleep analysis runs with dissemination and the sink disabled:
+    a 10 s period, all of it awake until apply_param sets delta, timeouts
+    uniform over [0, 10] s and a 500 s horizon."""
     return SimConfig(
         n=n,
-        t_active_s=period,
+        t_active_s=10.0,
         t_sleep_s=0.0,
-        timeout_max_s=period,
-        horizon_s=horizon,
+        timeout_max_s=10.0,
+        horizon_s=500.0,
         dissemination_enabled=False,
         sink_enabled=False,
         seed=seed,

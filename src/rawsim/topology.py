@@ -6,7 +6,6 @@ disk). Neighbor lists are sorted ascending by node id so that random
 neighbor selection consumes the RNG deterministically.
 """
 
-from collections import deque
 from dataclasses import dataclass, field
 from itertools import pairwise
 
@@ -20,7 +19,7 @@ DEFAULT_RADIO_RANGE = 250.0
 
 @dataclass(frozen=True)
 class Topology:
-    """Immutable after construction; safe to share across replications."""
+    """One deployment: positions and the disk graph over them; immutable."""
 
     n: int
     positions: np.ndarray            # shape (n, 2)
@@ -92,19 +91,3 @@ def save_placement(positions):
     ]
     return "\n".join(lines) + "\n"
 
-
-def is_connected(topology):
-    if topology.n == 0:
-        return True
-    seen = bytearray(topology.n)
-    seen[0] = 1
-    queue = deque([0])
-    count = 1
-    while queue:
-        v = queue.popleft()
-        for u in topology.neighbors[v]:
-            if not seen[u]:
-                seen[u] = 1
-                count += 1
-                queue.append(u)
-    return count == topology.n

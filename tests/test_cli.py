@@ -48,12 +48,17 @@ def test_run_with_config_file(tmp_path):
     )
 
 
-def test_set_override_and_bad_key(tmp_path):
+def test_set_override_and_bad_key(tmp_path, capsys):
     out = tmp_path / "r"
     assert cli(["run", "--set", "n=12", "--set", "horizon_s=20",
                 "--set", "sink_start_s=10", "--set", "sink_gap_s=1",
                 "--out", str(out), "--seed", "1"]) == 0
-    assert cli(["run", "--set", "nonsense=1", "--out", str(out)]) == 2
+    capsys.readouterr()
+    # the keys of removed options are rejected, not ignored
+    for item in ("nonsense=1", "fixed_topology=true", "require_connected=true"):
+        assert cli(["run", "--set", item, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: unknown config key") and err.count("\n") == 1
 
 
 def test_malformed_values_exit_2(tmp_path, capsys):
@@ -70,6 +75,8 @@ def test_malformed_values_exit_2(tmp_path, capsys):
         ["run", "--set", "t_active_s=1e-7"],
         ["run", "--set", "advertise_period_s=4e-7"],
         ["run", "--set", "view_policy=timeout:1e-7"],
+        ["run", "--set", "view_policy=timeout:nan"],
+        ["run", "--set", "view_policy=timeout:inf"],
         ["run", "--set", "advertise_period_s=0"],
         # geometry is checked when the config is built, not when a run
         # first reads a topology
@@ -83,6 +90,9 @@ def test_malformed_values_exit_2(tmp_path, capsys):
         assert cli(args + ["--out", out]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+        tau = args[-1].removeprefix("view_policy=timeout:")
+        if tau in ("nan", "inf"):  # the policy rejects it, not the tick conversion
+            assert err == f"error: view timeout must be finite, got {tau}\n"
 
 
 def test_placement_file_must_match_n(tmp_path, capsys):

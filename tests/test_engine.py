@@ -12,7 +12,7 @@ import oracles
 from rawsim import kernels
 from rawsim.dutycycle import to_ticks
 from rawsim.engine import SimConfig, build_topology, replicate, rng_stream, run
-from rawsim.errors import InvalidConfigError, SetupError
+from rawsim.errors import InvalidConfigError
 from rawsim.experiments import (
     COVERAGE_VARIANTS,
     active_sweep_config,
@@ -135,13 +135,6 @@ def test_placement_unchanged_across_protocol_settings():
     assert (a.positions == b.positions).all()
 
 
-def test_require_connected_raises_on_disconnected():
-    cfg = SimConfig(n=2, width=5000.0, height=5000.0, radio_range=10.0,
-                    require_connected=True, horizon_s=10.0, seed=1)
-    with pytest.raises(SetupError):
-        run(cfg)
-
-
 def test_conservation_on_quiescent_run():
     # synchronized phases; last launch at 490 finishes by 490.5 < 495
     cfg = SimConfig(n=50, timeout_max_s=0.0, horizon_s=495.0, seed=9,
@@ -201,7 +194,7 @@ def test_run_that_neither_deposits_nor_visits_builds_no_view(monkeypatch):
         return dissemination.View(policy)
 
     monkeypatch.setattr(engine, "View", counted_view)
-    trace = run(active_sweep_config(50, horizon=60.0, seed=42))
+    trace = run(active_sweep_config(50, seed=42).with_updates(horizon_s=60.0))
     assert trace.depositions == 0 and trace.sink_report is None
     assert built == []
 
@@ -487,7 +480,8 @@ def _short_run_config(name, horizon):
             n=30, horizon_s=horizon, sink_start_s=20.0
         )
     delta = float(name.removeprefix("sweep-delta"))
-    return apply_param(active_sweep_config(50, horizon=horizon, seed=42), "delta", delta)
+    base = active_sweep_config(50, seed=42).with_updates(horizon_s=horizon)
+    return apply_param(base, "delta", delta)
 
 
 # all-active and sweep-delta0.0 have t_active equal to U
@@ -535,8 +529,8 @@ def recorded_runs(monkeypatch):
     traces = []
     one_run = engine.run
 
-    def recording_run(config, topology=None):
-        traces.append(one_run(config, topology=topology))
+    def recording_run(config):
+        traces.append(one_run(config))
         return traces[-1]
 
     monkeypatch.setattr(engine, "run", recording_run)
@@ -552,67 +546,6 @@ def test_replicate_uses_consecutive_seeds(monkeypatch):
     assert solo.summary() == traces[1].summary()
 
 
-def test_fixed_topology_shares_placement(monkeypatch):
-    from rawsim import engine
-
-    built = []
-    read = []  # the topology each run reads: passed in, or built by the run
-    build, one_run = engine.build_topology, engine.run
-
-    def recording_build(config):
-        built.append(build(config))
-        return built[-1]
-
-    def recording_run(config, topology=None):
-        first = len(built)
-        trace = one_run(config, topology=topology)
-        read.append(topology if topology is not None else built[first])
-        return trace
-
-    monkeypatch.setattr(engine, "build_topology", recording_build)
-    monkeypatch.setattr(engine, "run", recording_run)
-    cfg = quick_config(fixed_topology=True, sink_enabled=False, replications=2)
-    base = build(cfg).positions  # seed 5
-    replicate(cfg)
-    assert len(read) == 2
-    for topology in read:
-        assert (topology.positions == base).all()
-    read.clear()
-    replicate(cfg.with_updates(fixed_topology=False))
-    assert len(read) == 2
-    assert (read[0].positions == base).all()
-    assert not (read[1].positions == base).all()  # seed 6 draws its own
-
-
-@pytest.mark.parametrize("disseminate", [False, True])
-def test_replicate_builds_a_fixed_topology_only_if_a_run_reads_it(monkeypatch, disseminate):
-    from rawsim import engine
-
-    built = []
-    given = []
-    build, one_run = engine.build_topology, engine.run
-
-    def counting_build(*args, **kwargs):
-        built.append(build(*args, **kwargs))
-        return built[-1]
-
-    def recording_run(config, topology=None):
-        given.append(topology)
-        return one_run(config, topology=topology)
-
-    monkeypatch.setattr(engine, "build_topology", counting_build)
-    monkeypatch.setattr(engine, "run", recording_run)
-    cfg = quick_config(fixed_topology=True, sink_enabled=False,
-                       dissemination_enabled=disseminate, replications=2)
-    replicate(cfg)
-    if disseminate:
-        assert len(built) == 1
-        assert given[0] is given[1] is built[0]
-    else:
-        assert built == []
-        assert given == [None, None]
-
-
 def test_replicate_without_traces_keeps_one_run_alive(monkeypatch):
     import weakref
 
@@ -622,9 +555,9 @@ def test_replicate_without_traces_keeps_one_run_alive(monkeypatch):
     alive = []
     one_run = engine.run
 
-    def recording_run(config, topology=None):
+    def recording_run(config):
         alive.append(sum(ref() is not None for ref in refs))
-        trace = one_run(config, topology=topology)
+        trace = one_run(config)
         refs.append(weakref.ref(trace))
         return trace
 

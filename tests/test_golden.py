@@ -28,10 +28,10 @@ def sha256(text):
 
 
 GOLDEN = {
-    "normal": "e15e96afb3e53d1e1c999e9f08db5b520a69233dfb125af6b1479380238ad6d8",
-    "small-timeout": "576a15f3931fdc06900a4c7baf495f8ca64e953acc075ef5342a5ec3be0ea061",
-    "all-active": "1c81d1d446bd94cc08b63b203f61b8bc1cca68994ef166cf5f4edba94b318826",
-    "dense": "1deed1f7525af727e89ba005af8961293821d7e91aca3df8dbdec38f8d3aba51",
+    "normal": "6c676c58ffc2cd17e7b2e6f1e5621b91b6d0431df0a91572f30de27852e6207b",
+    "small-timeout": "9dacfea4ea236798b664d973498637e54778085c3b24efdb9198dfc76b49ae6e",
+    "all-active": "ca406181a7e392231451f96078e79272ea4b90e014fb4e16e2bbd5f25db57a81",
+    "dense": "23a2da45b617fa73da293c90324c586e1bb19f3eacaa3aa9b504eb77eb7d7e1e",
 }
 
 
@@ -42,21 +42,21 @@ GOLDEN = {
 # one order. Latencies 0.25 and 0.5 divide the hello interval; 1.5 is
 # longer than it. Short walks make most of them end in the horizon.
 GOLDEN_TIES = {
-    ("normal", 0.25, "8"): "36fd6c1c327dc8078c36a3056142099ebe20821b9ecf923efc09beadbedfa128",
-    ("normal", 0.5, "8"): "458e7c43485fe3eb205c4c5c14deda8f252e41023de50ac6af0362ae2919742a",
-    ("normal", 1.5, "15"): "60d0e66ef6e9350a902e1106692b30444272353db1bb32b39409e357696932d6",
-    ("small-timeout", 0.25, "8"): "9eef5aafa3f884211cf5932ed495926a2aaa1a8c56ed7c2e57002ab50474ee37",
-    ("small-timeout", 0.5, "8"): "6ef0ffe881e6ce31e1e6146b049beafffd0b8df28d3e84cdb390d71ad5ec47e6",
-    ("small-timeout", 1.5, "15"): "0bb9d50d2393fc77d0011a89abf5c83481b5fb5fb1ee26f007bee4aa1f71ebbd",
-    ("all-active", 0.25, "8"): "d1243ac536d1352570622b17fee54778b5fe4e0ecfdea84ffd69318b071d63c9",
-    ("all-active", 0.5, "8"): "c992d3341d63d5d2bb563012fadc3942ce615da40a8c1facf6831cde695dac5b",
-    ("all-active", 1.5, "15"): "97923cfd56e1db96f2e15b8be82285eef7ff3017c519706aa7c0d4f3dcf37767",
-    ("dense", 0.25, "8"): "170a071335cd08a627a783e80e34b65a6cb1cf2202c2695c7acb39da0b3b7e06",
-    ("dense", 0.5, "8"): "9ac8617febb8b4e03d0422b67433331e9a37e89fcec31883352ff1e2f88f3288",
-    ("dense", 1.5, "15"): "7365cd0f326fa8de3e7236b4f40eb01c97b5fd82d38ba1d6373410c1610522b8",
+    ("normal", 0.25, "8"): "ff775af8ad60ee8bf1f9847f7eb25840f73cd92020e9b8d3c7a69f2afc4adc93",
+    ("normal", 0.5, "8"): "9a4fe81ca84d969108c2156dd5550c8f7c840666a33d0606b161529a822c2d5b",
+    ("normal", 1.5, "15"): "a41fc1482b32f2546b5e9231249638e0f3a9c5a5b68c036098f241302fb7c275",
+    ("small-timeout", 0.25, "8"): "5a0a2993200af8eb1b4f9e037066eaa0bd6240b6611097b5a71b13f2c42bd24a",
+    ("small-timeout", 0.5, "8"): "1be947484b9075a3c8d555642e90c182683008d97f2888e166ba480f830657cf",
+    ("small-timeout", 1.5, "15"): "50a3529005915cc2942aef07f144b0be433b0b0023ecbe10efd96e9076a10f57",
+    ("all-active", 0.25, "8"): "cc3ed1e268517f44c3d13ca59870bc106056cfd2858e63115074bcd9a474251e",
+    ("all-active", 0.5, "8"): "0b70ab21c61893f26c0cc78f744758a70a379edafdd3c0a8e4f41404e8847826",
+    ("all-active", 1.5, "15"): "038ccd54e06fd9491f3aefa54c87ad7fca23f43601cf2979c1911967c9086260",
+    ("dense", 0.25, "8"): "b9dbdd31167fd5fa7180676fce40caee7e17615b92f122edbac4ccc263726583",
+    ("dense", 0.5, "8"): "609d3b48de37cc4daf0d3ee9a6f0db38f98e8c084f44ceba76f14460d8928fd2",
+    ("dense", 1.5, "15"): "9f999e278441feb05e698e82460d65bbf63413d666780fa09048ac61668b95b8",
     # 20 hops of 0.5 s end exactly on the sink's visit ticks, so this pins
     # that a visit collects before the deposits of its own tick
-    ("all-active", 0.5, "20"): "321d5bb1bfbb62a71aa3aee55708cf1b872a51e4b11dab443fe69d2c46c936e6",
+    ("all-active", 0.5, "20"): "6c6dc0c7ec4c3e5f604c660552755d57018de794a110c9f52b2e5ae32e336250",
 }
 
 
@@ -85,7 +85,7 @@ def test_golden_equal_time_order_is_bit_exact(variant, latency, rw_length):
 # Zero-length walks with every phase at the first visit's tick: every
 # first launch deposits at the tick of the first visit.
 GOLDEN_FIRST_VISIT_DEPOSITS = (
-    "e25b925f39768773f715bad21b4200e96dd64ab435f90aeee53362332c6508b0"
+    "0f733f9b80eebef9740f3f0d89237730a984dbd48e5f0a29afedf80a1c37f213"
 )
 
 

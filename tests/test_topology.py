@@ -4,14 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import stats
+from scipy import sparse, stats
+from scipy.sparse.csgraph import connected_components
 
 from rawsim import kernels
 from rawsim.engine import rng_stream
 from rawsim.errors import InvalidConfigError, PlacementParseError
 from rawsim.topology import (
     build_adjacency,
-    is_connected,
     load_placement,
     place_uniform,
     save_placement,
@@ -131,6 +131,14 @@ def test_load_placement_malformed_line():
         load_placement("0 1.0\n")
     with pytest.raises(PlacementParseError, match="line 2"):
         load_placement("0 1.0 2.0\n1 x y\n")
+
+
+def is_connected(topology):
+    """Whether the disk graph is one component (scipy's count, not ours)."""
+    rows = [u for u, nb in enumerate(topology.neighbors) for _ in nb]
+    cols = [v for nb in topology.neighbors for v in nb]
+    graph = sparse.csr_matrix((np.ones(len(cols)), (rows, cols)), shape=(topology.n,) * 2)
+    return connected_components(graph, directed=False, return_labels=False) == 1
 
 
 def test_degree_stats_complete_graph():
