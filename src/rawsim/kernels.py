@@ -1,30 +1,29 @@
 """Numpy kernels for the array-heavy steps: disk-graph adjacency, the
-awake rule on arrays and the awake-node count over the sample grid.
+awake rule on arrays and the awake-node count at the sample times.
 
-active_counts counts per duty-cycle window, not per (node, sample) cell.
-Phases, period, t_active and sample times are integer ticks, and the
-samples form an evenly spaced grid times[i] = t0 + i*step. The per-cell
-rule (dutycycle.awake_predicate) says node i is awake at t when
-dt = t - phase_i is >= 0 and dt mod U < t_active. So a node's awake
-samples form one contiguous block per window q, the samples in
-[phase + q*U, phase + q*U + t_active). On the grid, the first sample at
-or after an edge e has index ceil((e - t0) / step), clipped to [0, H];
-integer division gives it exactly, with no search. +1 at each block's
-first index and -1 past its last, summed with bincount and cumsum, give
-the count at every sample: O(n*H/U) work instead of O(n*H) for n nodes,
-H samples and period U. The result equals the per-cell rule.
-
-With t_active >= U a node is awake from its phase on: one open-ended
-window per node, on the same index rule. The per-cell form
-(active_counts_per_cell) runs instead when windows would outnumber
-samples.
+active_counts counts phase residues, not (node, sample) cells. Phases,
+period U, t_active and sample times are integer ticks; the samples may
+come in any order, spacing or sign. The per-cell rule
+(dutycycle.awake_predicate) says node i is awake at t when
+dt = t - phase_i is >= 0 and dt mod U < t_active. From the last phase
+on, dt >= 0 for every node, so with a = min(t_active, U) node i is awake
+at t iff phase_i mod U lies in the circular interval (t - a, t] mod U.
+With hi = t mod U and lo = (hi - a) mod U, the count is the number of
+sorted residues <= hi, minus those <= lo, plus n when the interval
+wraps past 0 (hi < a; for a = U that makes every node awake): one
+searchsorted of hi and lo over the n sorted residues. Samples before
+the last phase go to active_counts_per_cell, the definition, in blocks
+of at most BLOCK_CELLS cells. For n nodes, H samples and H' of them
+before the last phase, work is O(n*H' + (n + H) log n) and memory is
+O(n + H + BLOCK_CELLS); the result equals the per-cell rule.
 """
 
 import numpy as np
 
 BACKEND = "numpy"
 
-# pairs compared per adjacency block: 128 KB per float64 temporary
+# cells per block of adjacency pairs or per-cell awake tests: 128 KB per
+# 8-byte temporary
 BLOCK_CELLS = 1 << 14
 
 
@@ -64,31 +63,24 @@ def active_counts_per_cell(phases, period, t_active, times):
 
 
 def active_counts(phases, period, t_active, times):
-    """Number of nodes awake at each sample of the ascending, evenly spaced
-    grid times; the vector form of dutycycle.awake_predicate (a node before
-    its phase is not awake). Counts per window; see the module docstring."""
-    h = times.shape[0]
-    step = times[1] - times[0] if h > 1 else 1
-    if step <= 0 or (np.diff(times) != step).any():
-        raise ValueError("sample times must be an ascending, evenly spaced grid")
-    if h == 0 or phases.shape[0] == 0:
-        return active_counts_per_cell(phases, period, t_active, times)
-    t0 = times[0]
-
-    def first_index(edges):
-        """Index of the first sample at or after each edge, in [0, h]."""
-        index = -((t0 - edges) // step)  # ceil((edges - t0) / step), exactly
-        return np.clip(index, 0, h, out=index)
-
-    if t_active >= period:
-        return np.cumsum(np.bincount(first_index(phases), minlength=h + 1)[:h])
-    windows = int((times[-1] - phases.min()) // period) + 1
-    if windows > h:
-        return active_counts_per_cell(phases, period, t_active, times)
-    starts = (phases[:, None] + np.arange(windows) * period).ravel()
-    steps = np.bincount(first_index(starts), minlength=h + 1)
-    steps -= np.bincount(first_index(starts + t_active), minlength=h + 1)
-    return np.cumsum(steps[:h])
+    """Number of nodes awake at each sample of times, in any order; the
+    vector form of dutycycle.awake_predicate (a node before its phase is
+    not awake). Counts phase residues; see the module docstring."""
+    n = phases.shape[0]
+    counts = np.empty(times.shape[0], dtype=np.int64)
+    early = times < phases.max(initial=0)  # before the last phase; none if n = 0
+    before = np.flatnonzero(early)
+    rows = max(1, BLOCK_CELLS // max(n, 1))
+    for start in range(0, before.shape[0], rows):
+        block = before[start:start + rows]
+        counts[block] = active_counts_per_cell(phases, period, t_active, times[block])
+    residues = np.sort(phases % period)
+    a = min(t_active, period)
+    hi = times[~early] % period
+    lo = (hi - a) % period
+    upto_hi, upto_lo = np.searchsorted(residues, (hi, lo), "right")
+    counts[~early] = upto_hi - upto_lo + n * (hi < a)
+    return counts
 
 
 def warmup():
@@ -96,4 +88,4 @@ def warmup():
     xs = np.array([0.0, 1.0, 5.0])
     ys = np.zeros(3)
     adjacency_csr(xs, ys, 2.0)
-    active_counts(np.zeros(3, dtype=np.int64), 10, 1, np.array([0, 1]))
+    active_counts(np.arange(3), 10, 1, np.array([0, 1, 2]))

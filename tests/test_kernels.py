@@ -12,14 +12,21 @@ from rawsim.dutycycle import to_ticks
 from rawsim.engine import rng_stream
 
 S = 1_000_000  # ticks per second
-# 10 s and 0.3 s; a period of 7 ticks makes windows outnumber samples
-PERIODS = (10 * S, 3 * S // 10, 7)
+# 10 s and 0.3 s; periods of 7 ticks and 1 tick put many windows between samples
+PERIODS = (10 * S, 3 * S // 10, 7, 1)
 
 
 def test_active_counts_handles_always_on():
+    """With t_active >= U a node is awake from its phase on, also at the
+    samples from the last phase on that fall on a phase residue."""
     phases = np.array([0, 0, 3 * S, 5 * S, 200 * S])
     counts = kernels.active_counts(phases, 7 * S, 7 * S, np.arange(0, 101 * S, 50 * S))
     assert counts.tolist() == [2, 4, 4]
+    phases = np.array([0, 0, 3 * S, 5 * S, 12 * S])
+    times = np.arange(0, 30 * S, S)
+    started = (phases[None, :] <= times[:, None]).sum(axis=1).tolist()
+    for t_active in (7 * S, 7 * S + 1, 7 * S + 2, 30 * S):
+        assert kernels.active_counts(phases, 7 * S, t_active, times).tolist() == started
 
 
 def divisors(k):
@@ -29,15 +36,18 @@ def divisors(k):
 
 @st.composite
 def schedules(draw):
-    """(phases, period, t_active, times) in ticks. times is an evenly
-    spaced grid of 1 to 300 samples that starts on or next to a window
-    edge, or next to 0. Its step divides U or t_active, so that later
-    samples land on later edges too, or divides neither."""
-    n = draw(st.integers(1, 6))
+    """(phases, period, t_active, times) in ticks, 0 to 6 nodes and
+    t_active from 0 to U + 2. times is one of: an evenly spaced grid of 0
+    to 300 samples that starts on or next to a window edge, or next to 0,
+    whose step divides U or t_active, so that later samples land on later
+    edges too, or divides neither; up to 40 samples in any order, with
+    repeats, drawn from a few points on or next to window edges or before
+    0; or up to 40 samples that all come before every phase."""
+    n = draw(st.integers(0, 6))
     period = draw(st.sampled_from(PERIODS))
     t_active = draw(
         st.one_of(
-            st.just(period),
+            st.integers(period, period + 2),
             st.integers(1, 9).map(lambda k: max(1, period * k // 10)),
             st.sampled_from((period - 1, 1)),
         )
@@ -50,20 +60,30 @@ def schedules(draw):
             st.lists(st.integers(0, period), min_size=n, max_size=n),
         )
     )
-    # the edge phase + q*U or phase + q*U + t_active of a drawn node
-    edge = (
-        draw(st.sampled_from(phases))
-        + draw(st.integers(0, 40)) * period
-        + draw(st.sampled_from((0, t_active)))
+    # the edge phase + q*U or phase + q*U + t_active of a drawn node, give or take 3
+    edge = st.builds(
+        lambda phase, q, start, offset: phase + q * period + start + offset,
+        st.sampled_from(phases or [0]),
+        st.integers(0, 40),
+        st.sampled_from((0, t_active)),
+        st.one_of(st.just(0), st.integers(-3, 3)),
     )
-    t0 = draw(st.sampled_from((0, edge))) + draw(st.integers(-3, 3))
-    neither = [k for k in (7, 13, S // 3 + 1) if period % k and t_active % k]
-    step = draw(st.sampled_from(divisors(period) + divisors(t_active) + neither))
-    times = t0 + step * np.arange(draw(st.integers(1, 300)))
-    return np.array(phases, dtype=np.int64), period, t_active, times
+    layout = draw(st.sampled_from(("grid", "scattered", "before phases")))
+    if layout == "grid":
+        t0 = draw(st.one_of(edge, st.integers(-3, 3)))
+        neither = [k for k in (7, 13, S // 3 + 1) if period % k and t_active % k]
+        step = draw(st.sampled_from(divisors(period) + divisors(t_active) + neither))
+        times = t0 + step * np.arange(draw(st.integers(0, 300)))
+    elif layout == "scattered":
+        pool = draw(st.lists(st.one_of(edge, st.integers(-3 * period, -1)), min_size=1, max_size=8))
+        times = draw(st.lists(st.sampled_from(pool), max_size=40))
+    else:
+        first = min(phases, default=0)
+        times = draw(st.lists(st.integers(first - 3 * period, first - 1), max_size=40))
+    return np.array(phases, dtype=np.int64), period, t_active, np.array(times, dtype=np.int64)
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=500, deadline=None)
 @given(schedules())
 def test_active_counts_matches_awake_predicate(schedule):
     phases, period, t_active, times = schedule
@@ -86,37 +106,73 @@ def sweep_shape(delta, timeout_max):
 @pytest.mark.parametrize("delta", [0.0, 0.5, 0.9])
 @pytest.mark.parametrize("timeout_max", [0.0, 10.0])
 def test_sweep_never_counts_per_cell(monkeypatch, delta, timeout_max):
-    """The sweep's shape never falls back to the per-cell count, even when
-    every window edge is on a sample, and gives the same counts."""
+    """From the last phase on, the sweep's shape never counts per cell:
+    the per-cell rule sees each sample before the last phase once (at most
+    11 of 501 with phases in [0, 10] s, none with every phase at 0) and no
+    other sample, and the counts equal the per-cell rule."""
     phases, t_active, times, expected = sweep_shape(delta, timeout_max)
+    per_cell = kernels.active_counts_per_cell
+    seen = []
 
-    def per_cell(*args):
-        raise AssertionError("fell back to the per-cell count")
+    def spy(phases, period, t_active, times):
+        seen.extend(times.tolist())
+        return per_cell(phases, period, t_active, times)
 
-    monkeypatch.setattr(kernels, "active_counts_per_cell", per_cell)
+    monkeypatch.setattr(kernels, "active_counts_per_cell", spy)
     counts = kernels.active_counts(phases, 10 * S, t_active, times)
     assert counts.tolist() == expected.tolist()
+    assert seen == times[times < phases.max()].tolist()
+    assert len(seen) <= (11 if timeout_max else 0)
 
 
 @pytest.mark.parametrize("delta", [0.0, 0.5, 0.9])
 def test_sweep_never_searches(monkeypatch, delta):
-    """On the sweep's grid every window edge finds its sample index by
-    arithmetic, the always-on case (delta 0) included."""
+    """The sweep's shape never searches the sample times, the always-on
+    case (delta 0) included: every np.searchsorted haystack is the 400
+    sorted phase residues."""
     phases, t_active, times, expected = sweep_shape(delta, 10.0)
+    search = np.searchsorted
+    haystacks = []
 
-    def searchsorted(*args, **kwargs):
-        raise AssertionError("searched the sample times")
+    def spy(a, v, side="left", sorter=None):
+        haystacks.append(np.asarray(a).tolist())
+        return search(a, v, side, sorter)
 
-    monkeypatch.setattr(np, "searchsorted", searchsorted)
+    monkeypatch.setattr(np, "searchsorted", spy)
     counts = kernels.active_counts(phases, 10 * S, t_active, times)
     assert counts.tolist() == expected.tolist()
+    residues = np.sort(phases % (10 * S)).tolist()
+    assert haystacks and all(haystack == residues for haystack in haystacks)
 
 
-def test_active_counts_requires_ascending_times():
-    phases = np.zeros(2, dtype=np.int64)
-    for times in ([1, 0], [0, 1, 3], [0, 2, 1, 3], [4, 4], [4, 4, 4]):
-        with pytest.raises(ValueError, match="ascending"):
-            kernels.active_counts(phases, 10, 1, np.array(times))
+@pytest.mark.parametrize("n", [4096, 5000, 5462])
+def test_active_counts_per_cell_blocks(n):
+    """Node counts that split the samples before the last phase into
+    blocks of 4, 3 and 2 samples, the last block full or not."""
+    phases = to_ticks(rng_stream(4, "phases").uniform(0.0, 20.0, n))
+    times = to_ticks(np.arange(0.0, 26.0))
+    counts = kernels.active_counts(phases, 10 * S, 5 * S, times)
+    assert counts.tolist() == kernels.active_counts_per_cell(phases, 10 * S, 5 * S, times).tolist()
+
+
+@pytest.mark.parametrize("timeout_max", [10.0, 5000.0])
+def test_active_counts_memory_is_bounded(timeout_max):
+    """n=10,000 and 5,001 one-second samples at delta 0.5, with phases
+    within one period or spread over the whole horizon: counting per
+    window would allocate a start per node and window, 114.5 MiB;
+    residues and blocks of BLOCK_CELLS cells keep the peak under 2 MiB."""
+    phases = to_ticks(rng_stream(2, "phases").uniform(0.0, timeout_max, 10_000))
+    times = to_ticks(np.arange(0.0, 5001.0))
+    tracemalloc.start()
+    try:
+        counts = kernels.active_counts(phases, 10 * S, 5 * S, times)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
+    every_100th = times[::100]
+    expected = kernels.active_counts_per_cell(phases, 10 * S, 5 * S, every_100th)
+    assert counts[::100].tolist() == expected.tolist()
 
 
 @pytest.mark.parametrize("t_active", [3, 10])
