@@ -97,29 +97,33 @@ class NeighborTable:
     known: list = field(default_factory=list)   # discovery order, for uniform picks
 
 
-def pick_next(node, known, awake, t, pick):
+def pick_next(node, known, schedule, t, pick):
     """Alg. PickNextNode: a uniformly chosen discovered neighbor if it is
     awake at time t, otherwise the node itself (stall).
 
     known is the node's discovered-neighbor list (NeighborTable.known);
-    awake is the awake(node, t) -> bool predicate of
-    dutycycle.awake_predicate; pick is a uniform [0, 1) draw.
+    schedule is the run's dutycycle.Schedule, whose awake rule this tests
+    in its own frame; t is an int tick and pick a uniform [0, 1) draw, so
+    floor(pick * len(known)) is a valid index (it equals int() for x >= 0
+    and costs less).
     """
     if not known:
         return node
-    candidate = known[int(pick * len(known))]
-    if awake(candidate, t):
+    candidate = known[math.floor(pick * len(known))]
+    dt = t - schedule.phases[candidate]
+    if dt >= 0 and dt % schedule.period < schedule.t_active:
         return candidate
     return node
 
 
-def hop(node, known, awake, t, pick):
+def hop(node, known, schedule, t, pick):
     """One step at time t of the walk held at node: the node holding it
     after the step (pick_next). A walk is only the node holding it, so
-    this is a thin wrapper; it stays so that every hop is one call that
-    perfbench's traced check counts against the hop events, and
-    pick_next is the call whose stalls it observes."""
-    return pick_next(node, known, awake, t, pick)
+    this is a thin wrapper. A hop costs two Python frames, this one and
+    pick_next's, and no more: perfbench's traced check counts one hop
+    call per hop event, so this call stays, and it reaches pick_next
+    through the module global, the call whose stalls perfbench observes."""
+    return pick_next(node, known, schedule, t, pick)
 
 
 def discover(phases, adjacency, ticks, horizon):

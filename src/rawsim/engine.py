@@ -322,7 +322,7 @@ def launch_schedule(phases, ticks, horizon):
     return node.size, tick[up], node[up]
 
 
-def dispatch(phases, awake, adjacency, ticks, horizon, rw_length, rng):
+def dispatch(phases, adjacency, ticks, horizon, rw_length, rng):
     """Make the first hearings of hellos (dissemination.discover), the
     launches (launch_schedule) and the walk hops of a run up to the
     horizon. Returns the deposit log and the walk counters.
@@ -335,10 +335,15 @@ def dispatch(phases, awake, adjacency, ticks, horizon, rw_length, rng):
     its node first heard at ticks <= t. A walk is the node holding it: one
     that made rw_length hops deposits there at T_w + rw_length*hop_latency
     (at its launch when rw_length is 0), and any other is dropped in
-    flight. Times are Python ints and picks Python floats.
+    flight. Times are Python ints and picks Python floats, and every hop
+    reads the run's dutycycle.Schedule of Python ints: numpy scalars
+    would slow each of the two frames a hop costs (dissemination.hop).
     """
     hop_latency = ticks["hop_latency_s"]
     hop = dissemination.hop
+    schedule = dutycycle.Schedule(
+        np.asarray(phases, dtype=np.int64).tolist(), ticks["period"], ticks["t_active_s"]
+    )
     known = [dissemination.NeighborTable().known for _ in phases]  # in hearing order
     heard_at = [[] for _ in phases]    # the tick of each known[node] entry
     heard = dissemination.discover(phases, adjacency, ticks, horizon)
@@ -358,7 +363,7 @@ def dispatch(phases, awake, adjacency, ticks, horizon, rw_length, rng):
             table = known[node]
             if t < settled:
                 table = table[:bisect.bisect_right(heard_at[node], t)]
-            node = hop(node, table, awake, t, pick)
+            node = hop(node, table, schedule, t, pick)
         if hops == rw_length:
             deposits.append((end, node, o))
     deposits.sort()
@@ -378,8 +383,9 @@ def run(config):
 
     Every time in a run is an int number of ticks. No walk reads a view, so
     dispatch only logs deposits; views and sink visits are replayed after
-    it. event_counts["hello"] counts every hello sent up to the horizon, in
-    closed form."""
+    it. With sink_wake_sleeping false a visit collects only from a node
+    awake then (kernels.awake). event_counts["hello"] counts every hello
+    sent up to the horizon, in closed form."""
     n = config.n
     to_ticks = dutycycle.to_ticks
     ticks = {name: to_ticks(sec) for name, sec in config.tick_durations().items()}
@@ -389,7 +395,6 @@ def run(config):
     )
     phases = to_ticks(drawn)
     period, t_active = ticks["period"], ticks["t_active_s"]
-    awake = dutycycle.awake_predicate(phases, period, t_active)
     horizon = to_ticks(config.horizon_s)
 
     event_counts = {"hello": 0, "launch": 0, "hop": 0, "visit": 0}
@@ -398,7 +403,7 @@ def run(config):
         sending = phases[phases <= horizon]
         event_counts["hello"] = int(((horizon - sending) // ticks["hello_interval_s"] + 1).sum())
         walked = dispatch(
-            phases, awake, build_topology(config).neighbors, ticks, horizon,
+            phases, build_topology(config).neighbors, ticks, horizon,
             config.resolved_rw_length(), rng_stream(config.seed, "walks"),
         )
         event_counts["launch"] = walked.launch_events
@@ -441,7 +446,7 @@ def run(config):
         if node is None:
             break
         origins = set()
-        if config.sink_wake_sleeping or awake(node, t_visit):
+        if config.sink_wake_sleeping or kernels.awake(t_visit - phases[node], period, t_active):
             view = views[node]
             view.maintain(t_visit)
             size_log.append((t_visit, node, len(view)))

@@ -4,7 +4,7 @@ awake rule on arrays and the awake-node count at the sample times.
 active_counts counts phase residues, not (node, sample) cells. Phases,
 period U, t_active and sample times are integer ticks; the samples may
 come in any order, spacing or sign. The per-cell rule
-(dutycycle.awake_predicate) says node i is awake at t when
+(dutycycle.Schedule, here kernels.awake) says node i is awake at t when
 dt = t - phase_i is >= 0 and dt mod U < t_active. From the last phase
 on, dt >= 0 for every node, so with a = min(t_active, U) node i is awake
 at t iff phase_i mod U lies in the circular interval (t - a, t] mod U.
@@ -52,7 +52,8 @@ def adjacency_csr(xs, ys, radio_range):
 
 
 def awake(dt, period, t_active):
-    """dutycycle.awake_predicate on offsets dt = t - phase, elementwise."""
+    """The awake rule of dutycycle.Schedule on offsets dt = t - phase,
+    elementwise; dissemination.pick_next is its one scalar copy."""
     return (dt >= 0) & (np.mod(dt, period) < t_active)
 
 
@@ -64,8 +65,8 @@ def active_counts_per_cell(phases, period, t_active, times):
 
 def active_counts(phases, period, t_active, times):
     """Number of nodes awake at each sample of times, in any order; the
-    vector form of dutycycle.awake_predicate (a node before its phase is
-    not awake). Counts phase residues; see the module docstring."""
+    awake rule of dutycycle.Schedule (a node before its phase is not
+    awake). Counts phase residues; see the module docstring."""
     n = phases.shape[0]
     counts = np.empty(times.shape[0], dtype=np.int64)
     early = times < phases.max(initial=0)  # before the last phase; none if n = 0

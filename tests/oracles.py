@@ -1,9 +1,10 @@
 """Reference implementations that tests compare the model with: the dense
 disk-graph adjacency that kernels.adjacency_csr must equal, a sampling
-oracle for analytic values, the scalar hello that
-dissemination.discover must equal, and the event-queue dispatch that
-engine.dispatch must equal bit for bit given the same draws for each
-walk."""
+oracle for analytic values, the scalar awake rule that
+dissemination.pick_next and kernels.awake must equal, the scalar hello
+that dissemination.discover must equal, and the event-queue dispatch
+that engine.dispatch must equal bit for bit given the same draws for
+each walk."""
 
 from dataclasses import dataclass
 
@@ -34,6 +35,24 @@ def mean_ideal_intersection(n, k, pairs, rng):
     return total / pairs
 
 
+def awake_predicate(phases, period, t_active):
+    """The awake rule as awake(node, t) -> bool, a pure function of time;
+    phases, period, t_active and t are integer ticks.
+
+    A node is awake once its phase has passed and t falls in the active
+    part of its period; before its phase (the initial timeout) it is not.
+    dissemination.pick_next tests the same rule on its candidate and
+    kernels.awake on arrays; kernels.active_counts counts it.
+    """
+    phases = np.asarray(phases, dtype=np.int64).tolist()
+
+    def awake(node, t):
+        dt = t - phases[node]
+        return dt >= 0 and dt % period < t_active
+
+    return awake
+
+
 def hello_tick(node, now, neighbors, awake, known):
     """One hello broadcast at tick now: an awake node is heard by every
     awake topological neighbour u, and appended to known[u] unless u knew
@@ -55,17 +74,17 @@ class RWMessage:
     current: int
 
 
-def step(msg, known, awake, t, pick):
+def step(msg, known, schedule, t, pick):
     """One ttl-consuming hop of msg at tick t, through dissemination.hop.
     Returns True when ttl hits zero: msg.current is then the storage node."""
     from rawsim import dissemination
 
     msg.ttl -= 1
-    msg.current = dissemination.hop(msg.current, known, awake, t, pick)
+    msg.current = dissemination.hop(msg.current, known, schedule, t, pick)
     return msg.ttl == 0
 
 
-def dispatch(phases, awake, adjacency, ticks, horizon, rw_length, rng):
+def dispatch(phases, adjacency, ticks, horizon, rw_length, rng):
     """Reference for engine.dispatch, with the same arguments and result:
     one event at a time in (tick, seq) order. Hellos and launches wait in
     a heap. Hops wait in a first-in-first-out queue, which stays sorted by
@@ -73,12 +92,15 @@ def dispatch(phases, awake, adjacency, ticks, horizon, rw_length, rng):
     dispatched, whose tick never decreases. Hellos are dispatched until
     discovery settles, at max(phase) + lcm(hello_interval, U). Each walk
     is an RWMessage that deposits where step ends it, when its ttl hits
-    zero; one launched with a ttl of zero deposits at once."""
+    zero; one launched with a ttl of zero deposits at once. Hellos and
+    launches test awake_predicate; hops go through dissemination.hop with
+    the run's dutycycle.Schedule."""
     import heapq
     import math
     from collections import deque
 
     from rawsim import dissemination
+    from rawsim.dutycycle import Schedule
     from rawsim.engine import Dispatch
 
     hello, launch = 0, 1
@@ -94,10 +116,13 @@ def dispatch(phases, awake, adjacency, ticks, horizon, rw_length, rng):
         draws = iter(rng.random(1024).tolist())
         return next(draws)
 
+    period, t_active = ticks["period"], ticks["t_active_s"]
+    awake = awake_predicate(phases, period, t_active)
+    schedule = Schedule(np.asarray(phases, dtype=np.int64).tolist(), period, t_active)
     hop_latency = ticks["hop_latency_s"]
     hello_interval = ticks["hello_interval_s"]
     advertise_period = ticks["advertise_period_s"]
-    settled = max(phases) + math.lcm(hello_interval, ticks["period"])
+    settled = max(phases) + math.lcm(hello_interval, period)
     hello_end = min(settled, horizon + 1)
     # the first hellos take seqs before the first launches
     live = [node for node in range(n) if phases[node] <= horizon]
@@ -114,7 +139,7 @@ def dispatch(phases, awake, adjacency, ticks, horizon, rw_length, rng):
         if hops and (not heap or hops[0] < heap[0]):
             t, _, msg = hops.popleft()
             hops_made += 1
-            if step(msg, known[msg.current], awake, t, draw()):
+            if step(msg, known[msg.current], schedule, t, draw()):
                 deposits.append((t, msg.current, msg.origin))
             elif t + hop_latency <= horizon:
                 hops.append((t + hop_latency, seq, msg))

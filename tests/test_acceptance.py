@@ -11,6 +11,7 @@ from scipy import stats
 
 from rawsim.cli import cli
 from rawsim.dissemination import hop
+from rawsim.dutycycle import Schedule
 from rawsim.engine import SimConfig, replicate, rng_stream, run
 from rawsim.experiments import (
     DELTA_GRID,
@@ -99,11 +100,12 @@ def test_criterion_5_walk_terminal_uniform_on_k10():
     n, walks, length = 10, 10_000, 10
     rng = rng_stream(42, "walks")
     known = [[j for j in range(n) if j != i] for i in range(n)]
+    always_active = Schedule([0] * n, 1, 1)
     counts = np.zeros(n, dtype=int)
     for w in range(walks):
         node = w % n
         for _ in range(length):
-            node = hop(node, known[node], lambda _v, _t: True, 0.0, rng.random())
+            node = hop(node, known[node], always_active, 0, rng.random())
         counts[node] += 1
     pvalue = stats.chisquare(counts).pvalue
     ok = pvalue > 0.01

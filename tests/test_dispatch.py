@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 import oracles
 from rawsim import dissemination, engine
-from rawsim.dutycycle import awake_predicate, to_ticks
+from rawsim.dutycycle import to_ticks
 from rawsim.engine import SimConfig, rng_stream, run
 from rawsim.experiments import COVERAGE_VARIANTS, coverage_config
 from rawsim.sink import coverage_fractions
@@ -56,10 +56,10 @@ def reference_draws(fn, ticks, horizon, rw_length):
     def dispatcher(phases, *args):
         real_step = oracles.step
 
-        def recording_step(msg, known, awake, t, pick):
+        def recording_step(msg, known, schedule, t, pick):
             launched = t - (rw_length - msg.ttl + 1) * ticks["hop_latency_s"]
             draws.setdefault((launched, msg.origin), []).append(pick)
-            return real_step(msg, known, awake, t, pick)
+            return real_step(msg, known, schedule, t, pick)
 
         with patched(oracles, "step", recording_step):
             result = fn(phases, *args)
@@ -76,7 +76,7 @@ def reference_draws(fn, ticks, horizon, rw_length):
     return dispatcher, walk_major
 
 
-def dispatched(fn, phases, period, t_active, adjacency, ticks, horizon, rw_length, rng):
+def dispatched(fn, phases, adjacency, ticks, horizon, rw_length, rng):
     """fn's Dispatch and the known lists of the neighbour tables it built."""
     made = []
 
@@ -85,9 +85,8 @@ def dispatched(fn, phases, period, t_active, adjacency, ticks, horizon, rw_lengt
             super().__init__()
             made.append(self)
 
-    awake = awake_predicate(phases, period, t_active)
     with patched(dissemination, "NeighborTable", RecordedTable):
-        result = fn(phases, awake, adjacency, ticks, horizon, rw_length, rng)
+        result = fn(phases, adjacency, ticks, horizon, rw_length, rng)
     return result, [t.known for t in made]
 
 
@@ -129,8 +128,6 @@ def small_schedules(draw):
     ]
     return dict(
         phases=draw(st.lists(st.integers(0, 2 * period), min_size=n, max_size=n)),
-        period=period,
-        t_active=t_active,
         adjacency=adjacency,
         ticks=ticks,
         horizon=draw(st.integers(1, 120)),
@@ -142,7 +139,7 @@ def small_schedules(draw):
 # Six nodes launch at tick 0 and hop on the same ticks; hops take longer
 # than the advertise period.
 ALL_AT_PHASE_ZERO = dict(
-    phases=[0] * 6, period=10, t_active=4,
+    phases=[0] * 6,
     adjacency=[[v for v in range(6) if v != u] for u in range(6)],
     ticks={"period": 10, "t_active_s": 4, "hello_interval_s": 3, "hop_latency_s": 2,
            "advertise_period_s": 1},
@@ -309,8 +306,6 @@ def test_a_hearing_on_a_hop_tick_decides_the_storage_node(
 ):
     schedule = dict(
         phases=[0, 19 * S // 2],
-        period=10 * S,
-        t_active=S,
         adjacency=[[1], [0]],
         ticks={"period": 10 * S, "t_active_s": S, "hello_interval_s": hello_interval,
                "hop_latency_s": S // 4, "advertise_period_s": 10 * S},
@@ -334,7 +329,7 @@ def test_a_hearing_on_a_hop_tick_decides_the_storage_node(
 # on ticks 1 to 5 after a launch, every known neighbour is asleep and the
 # pick stalls. The walk launched at 90 has 4 hops before the horizon at 94.
 STALLING = dict(
-    phases=[0, 0, 0], period=10, t_active=1,
+    phases=[0, 0, 0],
     adjacency=[[1, 2], [0, 2], [0, 1]],
     ticks={"period": 10, "t_active_s": 1, "hello_interval_s": 1, "hop_latency_s": 1,
            "advertise_period_s": 10},

@@ -1,9 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from rawsim import kernels
 from rawsim.dissemination import (
     SizeBased,
     TimeoutBased,
@@ -14,20 +17,18 @@ from rawsim.dissemination import (
     pick_next,
     resolve_rw_length,
 )
-from rawsim.dutycycle import awake_predicate
+from rawsim.dutycycle import Schedule
 from rawsim.engine import rng_stream
 from rawsim.errors import InvalidConfigError
 
 import oracles
-from oracles import mean_ideal_intersection
+from oracles import awake_predicate, mean_ideal_intersection
 
-
-def always_active(_node, _t):
-    return True
-
-
-def always_sleep(_node, _t):
-    return False
+# Nodes 0-9: awake at every tick from 0 on, their one-tick active part
+# filling their one-tick period
+ALWAYS_ACTIVE = Schedule([0] * 10, 1, 1)
+# Nodes 0-9: awake at ticks 0, 10, 20, ... only, so asleep at tick 5
+SLEEPING = Schedule([0] * 10, 10, 1)
 
 
 def test_parse_view_policy():
@@ -56,26 +57,75 @@ def test_resolve_rw_length():
 
 
 def test_pick_next_empty_table_returns_self():
-    assert pick_next(4, [], always_active, 0.0, 0.3) == 4
+    assert pick_next(4, [], ALWAYS_ACTIVE, 0, 0.3) == 4
 
 
 def test_pick_next_single_active_neighbor():
-    assert pick_next(4, [3], always_active, 0.0, 0.99) == 3
+    assert pick_next(4, [3], ALWAYS_ACTIVE, 0, 0.99) == 3
 
 
 def test_pick_next_sleeping_neighbor_stalls():
-    assert pick_next(4, [3], always_sleep, 0.0, 0.0) == 4
+    assert pick_next(4, [3], SLEEPING, 5, 0.0) == 4
+    assert pick_next(4, [3], SLEEPING, 10, 0.0) == 3
 
 
 def test_pick_next_timeout_neighbor_stalls():
     # node 3 is still in its initial timeout at t = 40.5 s, although
     # (40.5 - 50) % 10 = 0.5 falls in an active window; times in 1 us ticks
-    awake = awake_predicate([0, 0, 0, 50_000_000, 0], 10_000_000, 1_000_000)
-    assert pick_next(4, [3], awake, 40_500_000, 0.0) == 4
+    schedule = Schedule([0, 0, 0, 50_000_000, 0], 10_000_000, 1_000_000)
+    assert pick_next(4, [3], schedule, 40_500_000, 0.0) == 4
+    assert pick_next(4, [3], schedule, 50_500_000, 0.0) == 3
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    t_active=st.integers(1, 40),
+    t_sleep=st.integers(0, 40),
+    phase=st.integers(0, 200),
+    q=st.integers(-8, 12),
+    end=st.booleans(),
+    shift=st.sampled_from((-1, 0, 1)),
+    t=st.integers(-500, 1000),
+    pick=st.floats(0.0, 1.0, exclude_max=True),
+)
+@example(t_active=5, t_sleep=0, phase=3, q=2, end=True, shift=0, t=-1, pick=0.0)
+@example(t_active=1, t_sleep=9, phase=100, q=-1, end=False, shift=0, t=99, pick=0.5)
+def test_pick_next_moves_iff_the_candidate_is_awake(
+    t_active, t_sleep, phase, q, end, shift, t, pick
+):
+    # pick_next's in-frame awake test on a one-entry table equals the
+    # reference rule and kernels.awake: at any tick, negative or before the
+    # phase, and on or next to a window edge dt = q*U or q*U + t_active,
+    # also with t_active == U (no sleep)
+    period = t_active + t_sleep
+    schedule = Schedule([phase], period, t_active)
+    awake = awake_predicate([phase], period, t_active)
+    edge = phase + q * period + (t_active if end else 0) + shift
+    for when in (t, edge):
+        moved = pick_next(-1, [0], schedule, when, pick) == 0  # -1 holds the walk
+        assert moved == awake(0, when)
+        assert moved == kernels.awake(np.int64(when - phase), period, t_active)
+        if when < phase:
+            assert not moved
+        elif when == edge and shift == 0:
+            # awake at a window's start, asleep at its end unless it never sleeps
+            assert moved == (not end or t_sleep == 0)
+
+
+def test_pick_next_floors_its_pick_to_a_valid_index():
+    # the largest draw below 1 picks the last entry and never indexes past
+    # it, at every table length up to 1025, powers of two included; 0.0
+    # picks the first; -1 holds the walk
+    largest = math.nextafter(1.0, 0.0)
+    schedule = Schedule([0] * 1025, 1, 1)
+    for size in range(1, 1026):
+        known = list(range(size))
+        assert pick_next(-1, known, schedule, 0, largest) == size - 1
+        assert pick_next(-1, known, schedule, 0, 0.0) == 0
 
 
 def test_hop_single_step_terminates_at_neighbor():
-    assert hop(0, [5], always_active, 0.0, 0.0) == 5
+    assert hop(0, [5], ALWAYS_ACTIVE, 0, 0.0) == 5
 
 
 def test_hop_moves_only_to_listed_neighbors():
@@ -83,7 +133,7 @@ def test_hop_moves_only_to_listed_neighbors():
     known = {0: [1, 2], 1: [0], 2: [0, 1]}
     node = 0
     for _ in range(30):
-        before, node = node, hop(node, known[node], always_active, 0.0, rng.random())
+        before, node = node, hop(node, known[node], ALWAYS_ACTIVE, 0, rng.random())
         assert node == before or node in known[before]
 
 
@@ -98,7 +148,7 @@ def test_terminal_uniform_on_complete_graph():
     for w in range(walks):
         node = w % n
         for _ in range(length):
-            node = hop(node, known[node], always_active, 0.0, rng.random())
+            node = hop(node, known[node], ALWAYS_ACTIVE, 0, rng.random())
         counts[node] += 1
     result = stats.chisquare(counts)
     assert result.pvalue > 0.01

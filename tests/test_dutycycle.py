@@ -5,13 +5,31 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rawsim.dutycycle import TICK_S, awake_predicate, draw_phases, to_ticks
+import oracles
+from rawsim.dissemination import pick_next
+from rawsim.dutycycle import TICK_S, Schedule, draw_phases, to_ticks
 from rawsim.engine import SimConfig, rng_stream
 from rawsim.errors import InvalidConfigError
 from rawsim.experiments import apply_param
 from rawsim.kernels import active_counts
 
 S = 1_000_000  # ticks per second
+
+
+def awake_predicate(phases, period, t_active):
+    """oracles.awake_predicate, held at every call to the scalar copy of the
+    rule in src: pick_next on a one-entry table moves iff the node is
+    awake (-1 holds the walk). The vector copy, kernels.awake, is held to
+    the reference by test_kernels and test_dissemination."""
+    reference = oracles.awake_predicate(phases, period, t_active)
+    schedule = Schedule(np.asarray(phases, dtype=np.int64).tolist(), period, t_active)
+
+    def awake(node, t):
+        state = reference(node, t)
+        assert (pick_next(-1, [node], schedule, t, 0.0) == node) == state
+        return state
+
+    return awake
 
 
 def test_delta_rejects_bad_inputs():

@@ -168,10 +168,8 @@ def test_hops_may_take_longer_than_the_advertise_period(latency, advertise):
     assert trace.launches == trace.depositions + trace.dropped_in_flight
     assert trace.event_counts["launch"] == trace.launches + trace.launch_skips
     # a walk drops iff its last hop falls after the horizon
-    from rawsim.dutycycle import awake_predicate
-
     phases = to_ticks(trace.phases).tolist()
-    awake = awake_predicate(phases, to_ticks(cfg.period), to_ticks(cfg.t_active_s))
+    awake = oracles.awake_predicate(phases, to_ticks(cfg.period), to_ticks(cfg.t_active_s))
     every, horizon = to_ticks(cfg.resolved_advertise_period()), to_ticks(cfg.horizon_s)
     launched = [
         t
@@ -255,33 +253,38 @@ def test_run_goes_through_the_protocol_functions(monkeypatch):
 
 
 def test_hop_gets_int_times_and_float_picks(monkeypatch):
-    # times are exact int ticks; numpy scalars on the hot path cost about
-    # half the loop's time
-    from rawsim import dissemination
+    # times are exact int ticks and the schedule every hop reads holds
+    # Python ints, whether dispatch got the phases as an int64 array (as
+    # from run), a list of ints or a list of numpy scalars; numpy scalars
+    # on the hot path would slow every hop
+    from rawsim import dissemination, engine
 
-    times, picks = set(), set()
-    real_hop = dissemination.hop
+    times, picks, schedules = set(), set(), []
+    real_hop, real_dispatch = dissemination.hop, engine.dispatch
 
-    def recording_hop(node, known, awake, t, pick):
+    def recording_hop(node, known, schedule, t, pick):
         times.add(type(t))
         picks.add(type(pick))
-        return real_hop(node, known, awake, t, pick)
+        if not schedules or schedules[-1] is not schedule:
+            schedules.append(schedule)
+        return real_hop(node, known, schedule, t, pick)
 
     monkeypatch.setattr(dissemination, "hop", recording_hop)
-    trace = run(moving_config())
-    assert trace.event_counts["hop"] > 0
+    outputs = []
+    for form in (np.asarray, np.ndarray.tolist, list):
+        monkeypatch.setattr(
+            engine, "dispatch", lambda phases, *args: real_dispatch(form(phases), *args)
+        )
+        trace = run(moving_config())
+        assert trace.event_counts["hop"] > 0
+        outputs.append(trace.summary_json() + trace.sink_csv())
     assert times == {int} and picks == {float}
-
-
-def test_awake_predicate_accepts_list_and_ndarray():
-    from rawsim.dutycycle import awake_predicate
-
-    phases = [S // 2, 3 * S]
-    for form in (phases, np.array(phases)):
-        awake = awake_predicate(form, 10 * S, S)
-        assert [awake(0, S), awake(0, 3 * S // 2), awake(1, 2 * S), awake(1, 27 * S // 2)] == [
-            True, False, False, True,
-        ]
+    assert len(schedules) == 3
+    for schedule in schedules:
+        assert type(schedule.phases) is list
+        assert {type(phase) for phase in schedule.phases} == {int}
+        assert type(schedule.period) is int and type(schedule.t_active) is int
+    assert outputs[0] == outputs[1] == outputs[2]
 
 
 def coverage_run(variant, **updates):
@@ -333,10 +336,8 @@ def settled_discovery(config):
 def replay_hellos(config, phases, horizon):
     """Each node's known neighbours after oracles.hello_tick for every
     hello up to the horizon, without the engine."""
-    from rawsim.dutycycle import awake_predicate
-
     period, t_active = to_ticks(config.period), to_ticks(config.t_active_s)
-    awake = awake_predicate(phases, period, t_active)
+    awake = oracles.awake_predicate(phases, period, t_active)
     adjacency = build_topology(config).neighbors
     known = [[] for _ in range(config.n)]
     for t, node in hello_schedule(phases, to_ticks(config.hello_interval_s), horizon):
@@ -349,7 +350,6 @@ def test_one_awake_hello_per_window_when_active_time_is_the_hello_interval(
     monkeypatch, t_active_s
 ):
     from rawsim import dissemination
-    from rawsim.dutycycle import awake_predicate
 
     heard = []  # the first hearings the engine's discover returned
     real = dissemination.discover
@@ -368,7 +368,7 @@ def test_one_awake_hello_per_window_when_active_time_is_the_hello_interval(
         period = to_ticks(trace.config.period)
         horizon = to_ticks(trace.config.horizon_s)
         assert settled < horizon
-        awake = awake_predicate(phases, period, h)
+        awake = oracles.awake_predicate(phases, period, h)
         for node, phase in enumerate(phases):
             # U is a multiple of the hello interval, so each active window
             # holds one hello, at its start

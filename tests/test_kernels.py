@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import dense_adjacency
-from rawsim import dutycycle, kernels
+from oracles import awake_predicate, dense_adjacency
+from rawsim import kernels
 from rawsim.dutycycle import to_ticks
 from rawsim.engine import rng_stream
 
@@ -87,7 +87,7 @@ def schedules(draw):
 @given(schedules())
 def test_active_counts_matches_awake_predicate(schedule):
     phases, period, t_active, times = schedule
-    awake = dutycycle.awake_predicate(phases, period, t_active)
+    awake = awake_predicate(phases, period, t_active)
     expected = [sum(awake(i, t) for i in range(len(phases))) for t in times.tolist()]
     counts = kernels.active_counts(phases, period, t_active, times)
     assert counts.dtype == np.int64
@@ -179,7 +179,7 @@ def test_active_counts_memory_is_bounded(timeout_max):
 @pytest.mark.parametrize("t", [-1, 0, 2, 3, 25, 33])
 def test_active_counts_on_one_sample(t_active, t):
     phases = np.array([0, 2, 3, 30])
-    awake = dutycycle.awake_predicate(phases, 10, t_active)
+    awake = awake_predicate(phases, 10, t_active)
     counts = kernels.active_counts(phases, 10, t_active, np.array([t]))
     assert counts.tolist() == [sum(awake(i, t) for i in range(4))]
 

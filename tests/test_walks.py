@@ -10,8 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from oracles import awake_predicate
 from rawsim import dissemination, engine
-from rawsim.dutycycle import awake_predicate, to_ticks
+from rawsim.dutycycle import to_ticks
 from rawsim.engine import SimConfig, build_topology, run
 
 
@@ -75,8 +76,8 @@ def observed_run(config):
     picks, dispatched = [], []
     real_pick, real_dispatch = dissemination.pick_next, engine.dispatch
 
-    def recording_pick(node, known, awake, t, pick):
-        picks.append((node, t, real_pick(node, known, awake, t, pick)))
+    def recording_pick(node, known, schedule, t, pick):
+        picks.append((node, t, real_pick(node, known, schedule, t, pick)))
         return picks[-1][2]
 
     def recording_dispatch(*args):
