@@ -287,6 +287,23 @@ def test_hop_gets_int_times_and_float_picks(monkeypatch):
     assert outputs[0] == outputs[1] == outputs[2]
 
 
+def test_awake_predicate_accepts_list_and_ndarray():
+    # the reference rule takes phases as a list or an array, and
+    # pick_next's rule on a Schedule of those phases agrees with it
+    from rawsim.dissemination import pick_next
+    from rawsim.dutycycle import Schedule
+
+    phases = [S // 2, 3 * S]
+    queries = [(0, S), (0, 3 * S // 2), (1, 2 * S), (1, 27 * S // 2)]
+    for form in (phases, np.array(phases)):
+        awake = oracles.awake_predicate(form, 10 * S, S)
+        assert [awake(node, t) for node, t in queries] == [True, False, False, True]
+        schedule = Schedule(np.asarray(form, dtype=np.int64).tolist(), 10 * S, S)
+        for node, t in queries:
+            # known holds only the candidate, so any pick draws it
+            assert (pick_next(1 - node, [node], schedule, t, 0.5) == node) == awake(node, t)
+
+
 def coverage_run(variant, **updates):
     """One short seed-42 run of a coverage variant, by default at n=30
     with horizon 120 s."""
