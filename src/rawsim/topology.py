@@ -6,6 +6,7 @@ disk). Neighbor lists are sorted ascending by node id so that random
 neighbor selection consumes the RNG deterministically.
 """
 
+import math
 from dataclasses import dataclass, field
 from itertools import pairwise
 
@@ -69,6 +70,8 @@ def load_placement(text):
             y = float(parts[2])
         except ValueError as exc:
             raise PlacementParseError(f"line {lineno}: {exc}") from exc
+        if not (math.isfinite(x) and math.isfinite(y)):
+            raise PlacementParseError(f"line {lineno}: non-finite coordinate in {raw!r}")
         if node < 0:
             raise PlacementParseError(f"line {lineno}: negative id {node}")
         if node in entries:

@@ -4,11 +4,26 @@ oracle for analytic values, the scalar awake rule that
 dissemination.pick_next and kernels.awake must equal, the scalar hello
 that dissemination.discover must equal, and the event-queue dispatch
 that engine.dispatch must equal bit for bit given the same draws for
-each walk."""
+each walk. simulated_text is the text of a run that the golden pins hash
+and that tests compare runs by."""
 
+import json
 from dataclasses import dataclass
 
 import numpy as np
+
+
+def simulated_text(trace):
+    """What a run simulated: its summary() metrics and event counts as
+    sorted JSON, then sink_csv() and samples_csv(). The config echo, seed
+    and tick length of summary.json are left out, so a new config key or a
+    new top-level block of summary.json moves none of the pins that hash
+    this."""
+    numbers = {"metrics": trace.summary(), "event_counts": trace.event_counts}
+    return (
+        json.dumps(numbers, indent=2, sort_keys=True) + "\n"
+        + trace.sink_csv() + trace.samples_csv()
+    )
 
 
 def dense_adjacency(xs, ys, radio_range):

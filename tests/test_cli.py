@@ -118,6 +118,16 @@ def test_unreadable_placement_file_exits_2(tmp_path, capsys):
     assert str(tmp_path) in err
 
 
+def test_non_finite_placement_file_exits_2(tmp_path, capsys):
+    placement = tmp_path / "bad.txt"
+    placement.write_text("0 nan 5\n1 inf 3\n2 1 1\n")
+    out = tmp_path / "r"
+    assert cli(["run", "--set", f"placement_file={placement}", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "line 1" in err
+
+
 def test_unknown_flag_exits_2():
     assert cli(["run", "--frobnicate"]) == 2
 

@@ -171,7 +171,7 @@ def test_dispatch_equals_the_reference_on_tied_schedules(schedule, block):
 
 
 def outputs(config, fn, rng=None):
-    """A run's output bytes and a copy of its Dispatch, with fn as the
+    """A run's simulated text and a copy of its Dispatch, with fn as the
     dispatcher and, if given, rng for the "walks" stream."""
     seen = []
 
@@ -182,7 +182,7 @@ def outputs(config, fn, rng=None):
 
     with patched(engine, "dispatch", recording):
         trace = run(config)
-    return trace.summary_json() + trace.sink_csv() + trace.samples_csv(), seen[0]
+    return oracles.simulated_text(trace), seen[0]
 
 
 @settings(max_examples=40, deadline=None)

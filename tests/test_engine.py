@@ -277,7 +277,7 @@ def test_hop_gets_int_times_and_float_picks(monkeypatch):
         )
         trace = run(moving_config())
         assert trace.event_counts["hop"] > 0
-        outputs.append(trace.summary_json() + trace.sink_csv())
+        outputs.append(oracles.simulated_text(trace))
     assert times == {int} and picks == {float}
     assert len(schedules) == 3
     for schedule in schedules:

@@ -1,19 +1,28 @@
-"""Bit-exactness reference for the walk engine.
+"""Bit-exactness reference for the simulator.
 
-Each hash is the sha256 of summary_json() + sink_csv() + samples_csv() for
-one short run of a coverage variant (n=30, horizon 120 s, sink visits from
-20 s, seed 42). A refactor must leave every hash unchanged. A change that
-alters published numbers on purpose (for example a new walk rule)
-updates the hashes here and records the before and after values in
-CHANGES.md.
+Each entry of PINS is one short run of a coverage variant (n=30, horizon
+120 s, sink visits from 20 s, seed 42) with its overrides, and the sha256
+of oracles.simulated_text for it: the summary() metrics and event counts
+as sorted JSON, the sink rows and the sample rows. The config echo of
+summary.json is not hashed, so a new config key or summary.json block
+moves no entry; test_summary_json_layout pins that layout once, on the
+run of PINS["normal"]. The other pins hash the deposit log of one run,
+the active-node sweep and samples that fall on window edges.
+
+A refactor must leave every hash unchanged. A change that alters
+published numbers on purpose (for example a new walk rule) updates the
+hashes here and records the before and after values in CHANGES.md.
 """
 
+import dataclasses
 import hashlib
+import json
 
 import pytest
 
+import oracles
 from rawsim import engine
-from rawsim.engine import run
+from rawsim.engine import SimConfig, run
 from rawsim.experiments import (
     COVERAGE_VARIANTS,
     active_sweep_config,
@@ -27,80 +36,108 @@ def sha256(text):
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-GOLDEN = {
-    "normal": "6c676c58ffc2cd17e7b2e6f1e5621b91b6d0431df0a91572f30de27852e6207b",
-    "small-timeout": "9dacfea4ea236798b664d973498637e54778085c3b24efdb9198dfc76b49ae6e",
-    "all-active": "ca406181a7e392231451f96078e79272ea4b90e014fb4e16e2bbd5f25db57a81",
-    "dense": "23a2da45b617fa73da293c90324c586e1bb19f3eacaa3aa9b504eb77eb7d7e1e",
-}
+BASE = {"n": 30, "horizon_s": 120.0, "sink_start_s": 20.0}
 
 
-# Runs whose walk hops land at exactly the times of hellos, launches and
-# other hops, which the 0.01 s default latency does not do (times are
-# integer ticks, so such ties are exact). These pin that a hop sees the
-# hearings of its own tick, and that the deposits of one tick replay in
-# one order. Latencies 0.25 and 0.5 divide the hello interval; 1.5 is
-# longer than it. Short walks make most of them end in the horizon.
-GOLDEN_TIES = {
-    ("normal", 0.25, "8"): "ff775af8ad60ee8bf1f9847f7eb25840f73cd92020e9b8d3c7a69f2afc4adc93",
-    ("normal", 0.5, "8"): "9a4fe81ca84d969108c2156dd5550c8f7c840666a33d0606b161529a822c2d5b",
-    ("normal", 1.5, "15"): "a41fc1482b32f2546b5e9231249638e0f3a9c5a5b68c036098f241302fb7c275",
-    ("small-timeout", 0.25, "8"): "5a0a2993200af8eb1b4f9e037066eaa0bd6240b6611097b5a71b13f2c42bd24a",
-    ("small-timeout", 0.5, "8"): "1be947484b9075a3c8d555642e90c182683008d97f2888e166ba480f830657cf",
-    ("small-timeout", 1.5, "15"): "50a3529005915cc2942aef07f144b0be433b0b0023ecbe10efd96e9076a10f57",
-    ("all-active", 0.25, "8"): "cc3ed1e268517f44c3d13ca59870bc106056cfd2858e63115074bcd9a474251e",
-    ("all-active", 0.5, "8"): "0b70ab21c61893f26c0cc78f744758a70a379edafdd3c0a8e4f41404e8847826",
-    ("all-active", 1.5, "15"): "038ccd54e06fd9491f3aefa54c87ad7fca23f43601cf2979c1911967c9086260",
-    ("dense", 0.25, "8"): "b9dbdd31167fd5fa7180676fce40caee7e17615b92f122edbac4ccc263726583",
-    ("dense", 0.5, "8"): "609d3b48de37cc4daf0d3ee9a6f0db38f98e8c084f44ceba76f14460d8928fd2",
-    ("dense", 1.5, "15"): "9f999e278441feb05e698e82460d65bbf63413d666780fa09048ac61668b95b8",
+def ties(latency, rw_length):
+    return {"hop_latency_s": latency, "rw_length": rw_length}
+
+
+# pin id -> (coverage variant, overrides of BASE, sha256 of simulated_text)
+#
+# The ties runs have walk hops land at exactly the times of hellos,
+# launches and other hops, which the 0.01 s default latency does not do
+# (times are integer ticks, so such ties are exact). They pin that a hop
+# sees the hearings of its own tick, and that the deposits of one tick
+# replay in one order. Latencies 0.25 and 0.5 divide the hello interval;
+# 1.5 is longer than it. Short walks make most of them end in the horizon.
+PINS = {
+    "normal": ("normal", {}, "65b1701f400484fd3b1c83a7a9d9867d9c17e7321cb23faf3bc9b3a0e85ffbb8"),
+    "small-timeout": ("small-timeout", {}, "72b3bfa5f77e6e9796f9f70368c768da4b2836d047651a1141484732c3aaa825"),
+    "all-active": ("all-active", {}, "1a0cdad460bb6f6de2f963a76a43cd1b3747f06007aa8f210673ee497af4be85"),
+    "dense": ("dense", {}, "6786da62743718903bde949c8bf1131dabe30d3e8cae29bf181af9d4a65e809e"),
+    "normal-0.25-8": ("normal", ties(0.25, "8"), "5cd2e09f4f94eb426b50eb53d5bb3085b580a9076d91d49d00cd16f6dc27a6a3"),
+    "normal-0.5-8": ("normal", ties(0.5, "8"), "a772ca67a79953e6512669481d3d05608a9114c630f2ad7a273fe81b00d7b9c7"),
+    "normal-1.5-15": ("normal", ties(1.5, "15"), "0ec30d77aefa9ccb6f59ea4d7fc66ebfd9bf4bcd2e4be80d39b2bbefb7acd885"),
+    "small-timeout-0.25-8": ("small-timeout", ties(0.25, "8"), "d1296d021338aefbdc17d299b696ec67d66bd38d1703e1bc1251301a1aa3ea46"),
+    "small-timeout-0.5-8": ("small-timeout", ties(0.5, "8"), "945e62952dadd8a51c7bc8e680007a830f5207e821939d0e335037761a61923f"),
+    "small-timeout-1.5-15": ("small-timeout", ties(1.5, "15"), "a9f4e0dbe672895268a013867b08a4f6523446855e2e74d9f7b5d091a6b8b71e"),
+    "all-active-0.25-8": ("all-active", ties(0.25, "8"), "23f9b5a59b427d8a37a733e64040be354d1caf65b1079f90889ff2838226786f"),
+    "all-active-0.5-8": ("all-active", ties(0.5, "8"), "1f122ba4c2c399fb0b41c14b86890ab00f25b14fad5699eb64a2a3eb7a50b4f8"),
+    "all-active-1.5-15": ("all-active", ties(1.5, "15"), "fb21a0bcbba9d399ded9cf35b72611ead66edd4021448ba24cbb130f317ae0b3"),
+    "dense-0.25-8": ("dense", ties(0.25, "8"), "617f9eaa08cc3e729cf042cc901afc1a5b5cc29e57d4f5820475020653ae5305"),
+    "dense-0.5-8": ("dense", ties(0.5, "8"), "9560442ede8a523b97ae5caf7241d5b4302b90eadc6dba91cc44ebfee5f9031c"),
+    "dense-1.5-15": ("dense", ties(1.5, "15"), "ac7da1a7c8b8991252e20038611575ae12b31b8cdd1f19c788697c4ac9c8a56d"),
     # 20 hops of 0.5 s end exactly on the sink's visit ticks, so this pins
     # that a visit collects before the deposits of its own tick
-    ("all-active", 0.5, "20"): "6c6dc0c7ec4c3e5f604c660552755d57018de794a110c9f52b2e5ae32e336250",
+    "all-active-0.5-20": ("all-active", ties(0.5, "20"), "5d87cde1c0a4c2292b5b47b045d029cd917792d16a09b69cc11980761e835943"),
+    # zero-length walks with every phase at the first visit's tick: every
+    # first launch deposits at the tick of the first visit
+    "first-visit-deposits": (
+        "normal",
+        {"rw_length": "0", "timeout_min_s": 20.0, "timeout_max_s": 20.0},
+        "541a855e4136ec331090aeb0b6e4807ebe6e60366e9671533004993d5ec55ba8",
+    ),
 }
+TIES = [pin for pin, (_, overrides, _) in PINS.items() if "hop_latency_s" in overrides]
 
 
-@pytest.mark.parametrize("variant", COVERAGE_VARIANTS)
-def test_golden_run_is_bit_exact(variant):
-    cfg = coverage_config(variant, seed=42).with_updates(
-        n=30, horizon_s=120.0, sink_start_s=20.0
-    )
-    trace = run(cfg)
-    assert trace.sink_report.visits  # the sink part of the output is exercised
-    text = trace.summary_json() + trace.sink_csv() + trace.samples_csv()
-    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN[variant]
+def pinned_run(pin):
+    variant, overrides, _ = PINS[pin]
+    return run(coverage_config(variant, seed=42).with_updates(**BASE, **overrides))
 
 
-@pytest.mark.parametrize("variant, latency, rw_length", sorted(GOLDEN_TIES))
-def test_golden_equal_time_order_is_bit_exact(variant, latency, rw_length):
-    cfg = coverage_config(variant, seed=42).with_updates(
-        n=30, horizon_s=120.0, sink_start_s=20.0, hop_latency_s=latency, rw_length=rw_length
-    )
-    trace = run(cfg)
-    text = trace.summary_json() + trace.sink_csv() + trace.samples_csv()
-    expected = GOLDEN_TIES[(variant, latency, rw_length)]
-    assert hashlib.sha256(text.encode()).hexdigest() == expected
+def assert_pinned(pin):
+    trace = pinned_run(pin)
+    assert trace.sink_report.visits  # the sink part of the text is exercised
+    assert sha256(oracles.simulated_text(trace)) == PINS[pin][2]
 
 
-# Zero-length walks with every phase at the first visit's tick: every
-# first launch deposits at the tick of the first visit.
-GOLDEN_FIRST_VISIT_DEPOSITS = (
-    "0f733f9b80eebef9740f3f0d89237730a984dbd48e5f0a29afedf80a1c37f213"
-)
+# one body over the table; the tests split it by kind of run: the
+# variants as they are, the ties runs, and first-visit-deposits
+@pytest.mark.parametrize("pin", COVERAGE_VARIANTS)
+def test_golden_run_is_bit_exact(pin):
+    assert_pinned(pin)
+
+
+@pytest.mark.parametrize("pin", TIES)
+def test_golden_equal_time_order_is_bit_exact(pin):
+    assert_pinned(pin)
 
 
 def test_golden_deposits_at_a_visit_tick_are_bit_exact():
-    cfg = coverage_config("normal", seed=42).with_updates(
-        n=30, horizon_s=120.0, sink_start_s=20.0, rw_length="0",
-        timeout_min_s=20.0, timeout_max_s=20.0,
-    )
-    trace = run(cfg)
-    text = trace.summary_json() + trace.sink_csv() + trace.samples_csv()
-    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_FIRST_VISIT_DEPOSITS
+    assert_pinned("first-visit-deposits")
+
+
+# The whole summary.json of PINS["normal"]: a layout change, such as a new
+# config key or block, re-records this one pin and none of PINS.
+GOLDEN_SUMMARY_JSON = "f386fe6ceee647cd8cd8d108b4b24092d86a2abe3ca77e938cad6b4185cca983"
+
+
+def test_summary_json_layout():
+    text = pinned_run("normal").summary_json()
+    payload = json.loads(text)
+    assert payload.keys() == {"config", "seed", "metrics", "event_counts", "tick_s"}
+    assert payload["config"].keys() == {f.name for f in dataclasses.fields(SimConfig)}
+    assert payload["metrics"].keys() == {
+        "time_avg_active", "launches", "depositions", "launch_skips",
+        "dropped_in_flight", "final_mean_view_size", "coverage", "visits",
+    }
+    assert payload["event_counts"].keys() == {"hello", "launch", "hop", "visit"}
+    assert sha256(text) == GOLDEN_SUMMARY_JSON
+
+
+def test_simulated_text_ignores_the_config_echo():
+    # run never reads replications, so the two runs simulate the same
+    # thing and only the config echo of summary.json tells them apart
+    one = pinned_run("normal")
+    other = run(one.config.with_updates(replications=one.config.replications + 1))
+    assert one.summary_json() != other.summary_json()
+    assert oracles.simulated_text(one) == oracles.simulated_text(other)
 
 
 # The sorted deposit log (tick, storage, origin) of one normal run: n=100,
-# seed 42, horizon 300 s. GOLDEN["normal"] and the normal coverage curve
+# seed 42, horizon 300 s. PINS["normal"] and the normal coverage curve
 # can stay the same when the draw each hop takes changes; this log cannot.
 GOLDEN_NORMAL_DEPOSITS = "24ec5992e2c6edefc100ba4278436384d590ac062f354bf3d9f88db1de975e1d"
 

@@ -126,6 +126,14 @@ def test_load_placement_gap_in_ids():
         load_placement("0 1.0 2.0\n2 3.0 4.0\n")
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("column", ["x", "y"])
+def test_load_placement_rejects_non_finite_coordinates(value, column):
+    x, y = (value, "1") if column == "x" else ("1", value)
+    with pytest.raises(PlacementParseError, match="line 2: non-finite"):
+        load_placement(f"0 1 1\n1 {x} {y}\n2 3 3\n")
+
+
 def test_load_placement_malformed_line():
     with pytest.raises(PlacementParseError, match="line 1"):
         load_placement("0 1.0\n")
