@@ -97,26 +97,18 @@ class SimConfig:
             m = self.resolved_sink_visits()
             last = sink.visit_times(self.sink_start_s, self.sink_gap_s, m)[-1]
             times["sink_start_s + (sink_visits - 1) * sink_gap_s"] = last
-        durations = self.tick_durations()
-        for name, seconds in {**times, **durations}.items():
-            try:
-                ticks = dutycycle.to_ticks(seconds)
-            except InvalidConfigError as exc:
-                raise InvalidConfigError(f"{name}: {exc}") from None
-            if name in durations and ticks < 1:
-                raise InvalidConfigError(
-                    f"{name} must be at least one tick ({dutycycle.TICK_S:g} s), "
-                    f"got {seconds}"
-                )
+        for name, seconds in times.items():
+            _named_ticks(name, seconds)
+        self.ticks()
 
     @property
     def period(self):
         """The duty-cycle period U = t_active + t_sleep."""
         return self.t_active_s + self.t_sleep_s
 
-    def tick_durations(self):
-        """Every duration a run keeps in ticks, in seconds by name; each
-        must be at least one tick."""
+    def ticks(self):
+        """Every duration a run keeps in ticks, by name, converted with
+        dutycycle.to_ticks; each must be at least one tick."""
         durations = {
             "t_active_s": self.t_active_s,
             "period": self.period,
@@ -127,7 +119,15 @@ class SimConfig:
         policy = self.resolved_view_policy()
         if isinstance(policy, TimeoutBased):  # views age their entries in ticks
             durations["view_policy timeout"] = policy.tau
-        return durations
+        ticks = {}
+        for name, seconds in durations.items():
+            ticks[name] = _named_ticks(name, seconds)
+            if ticks[name] < 1:
+                raise InvalidConfigError(
+                    f"{name} must be at least one tick ({dutycycle.TICK_S:g} s), "
+                    f"got {seconds}"
+                )
+        return ticks
 
     def resolved_rw_length(self):
         return resolve_rw_length(self.rw_length, self.n)
@@ -185,6 +185,14 @@ class SimConfig:
     def from_mapping(cls, mapping):
         kwargs = {k: cls.coerce_value(k, v) for k, v in mapping.items()}
         return cls(**kwargs)
+
+
+def _named_ticks(name, seconds):
+    """dutycycle.to_ticks(seconds), its error naming the config key."""
+    try:
+        return dutycycle.to_ticks(seconds)
+    except InvalidConfigError as exc:
+        raise InvalidConfigError(f"{name}: {exc}") from None
 
 
 @dataclass
@@ -388,7 +396,7 @@ def run(config):
     sent up to the horizon, in closed form."""
     n = config.n
     to_ticks = dutycycle.to_ticks
-    ticks = {name: to_ticks(sec) for name, sec in config.tick_durations().items()}
+    ticks = config.ticks()
     drawn = dutycycle.draw_phases(
         n, config.timeout_min_s, config.resolved_timeout_max(),
         rng_stream(config.seed, "phases"),

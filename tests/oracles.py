@@ -1,12 +1,25 @@
-"""Reference implementations that tests compare the model with: the dense
-disk-graph adjacency that kernels.adjacency_csr must equal, a sampling
-oracle for analytic values, the scalar awake rule that
-dissemination.pick_next and kernels.awake must equal, the scalar hello
-that dissemination.discover must equal, and the event-queue dispatch
-that engine.dispatch must equal bit for bit given the same draws for
-each walk. simulated_text is the text of a run that the golden pins hash
-and that tests compare runs by."""
+"""Reference implementations that tests compare the model with, one per
+rule, and one way to observe the engine.
 
+References: the dense disk-graph adjacency that kernels.adjacency_csr
+must equal (dense_adjacency), a sampling oracle for analytic values
+(mean_ideal_intersection), the scalar awake rule that
+dissemination.pick_next and kernels.awake must equal (awake_predicate),
+the scalar hello (hello_tick) and its replay over every hello, whose first
+hearings dissemination.discover and the engine's neighbour tables must
+equal (first_hearings), every awake launch (launches), and the
+event-queue dispatch that engine.dispatch must equal bit for bit given
+the same draws for each walk (dispatch, with RWMessage and step).
+simulated_text is the text of a run that the golden pins hash and that
+tests compare runs by.
+
+Observing the engine: patched replaces an attribute for the span of a
+with block; recording wraps a function so that each call is kept. Both
+restore the attribute on exit, also inside a Hypothesis example, where
+pytest's monkeypatch fixture does not.
+"""
+
+import contextlib
 import json
 from dataclasses import dataclass
 
@@ -78,6 +91,69 @@ def hello_tick(node, now, neighbors, awake, known):
     for u in first:
         known[u].append(node)
     return first
+
+
+def first_hearings(phases, adjacency, ticks, horizon):
+    """hello_tick over every hello sent up to the horizon, in dispatch
+    order, as discover's events (tick, -sender phase, sender, receiver).
+    Equal-tick hellos go in scheduling order: a node's first hello is
+    scheduled before any rescheduled one, so a later phase goes first,
+    then the lower node id."""
+    phases = np.asarray(phases, dtype=np.int64).tolist()
+    awake = awake_predicate(phases, ticks["period"], ticks["t_active_s"])
+    known = [[] for _ in phases]
+    hellos = sorted(
+        (t, -phase, node)
+        for node, phase in enumerate(phases)
+        for t in range(phase, horizon + 1, ticks["hello_interval_s"])
+    )
+    return [
+        (t, later, node, u)
+        for t, later, node in hellos
+        for u in hello_tick(node, t, adjacency[node], awake, known)
+    ]
+
+
+def launches(phases, ticks, horizon):
+    """Every walk launched up to the horizon, as sorted (tick, node): a
+    node is due to launch at its phase and every advertise period after
+    it, and launches iff it is awake then."""
+    phases = np.asarray(phases, dtype=np.int64).tolist()
+    awake = awake_predicate(phases, ticks["period"], ticks["t_active_s"])
+    return sorted(
+        (t, node)
+        for node, phase in enumerate(phases)
+        for t in range(phase, horizon + 1, ticks["advertise_period_s"])
+        if awake(node, t)
+    )
+
+
+@contextlib.contextmanager
+def patched(owner, name, value):
+    """owner.name set to value inside the with block."""
+    real = getattr(owner, name)
+    setattr(owner, name, value)
+    try:
+        yield
+    finally:
+        setattr(owner, name, real)
+
+
+@contextlib.contextmanager
+def recording(owner, name, keep):
+    """owner.name wrapped inside the with block: each call goes to the
+    function it replaced and appends keep(args, result) to the list
+    this yields. keep runs before the caller sees the result."""
+    real = getattr(owner, name)
+    kept = []
+
+    def wrapper(*args, **kwargs):
+        result = real(*args, **kwargs)
+        kept.append(keep(args, result))
+        return result
+
+    with patched(owner, name, wrapper):
+        yield kept
 
 
 @dataclass

@@ -21,6 +21,7 @@ from rawsim.experiments import (
     exp_active_vs_delta,
 )
 
+import test_dissemination
 from oracles import mean_ideal_intersection
 
 RUNS = 15
@@ -182,39 +183,10 @@ def test_criterion_9_figures_determinism(tmp_path):
 
 
 def test_criterion_10_view_policy_bounds():
-    from hypothesis import given, settings
-    from hypothesis import strategies as st
-
-    from rawsim.dissemination import SizeBased, TimeoutBased, View
-
-    events = st.lists(
-        st.tuples(st.integers(0, 25), st.floats(0, 200, allow_nan=False)),
-        min_size=1,
-        max_size=60,
-    )
-
-    @settings(max_examples=200, deadline=None)
-    @given(st.integers(1, 8), events)
-    def size_bound(k, publishes):
-        view = View(SizeBased(k))
-        for origin, t in sorted(publishes, key=lambda p: p[1]):
-            view.publish(origin, now=t)
-            assert len(view) <= k
-
-    @settings(max_examples=200, deadline=None)
-    @given(st.floats(0.5, 80), events, st.floats(0, 100))
-    def staleness_bound(tau, publishes, extra):
-        view = View(TimeoutBased(tau))
-        times = sorted(t for _o, t in publishes)
-        for (origin, _), t in zip(publishes, times):
-            view.publish(origin, now=t)
-            assert all(t - last <= tau for last in view.entries.values())
-        now = times[-1] + extra
-        view.maintain(now)
-        assert all(now - last <= tau for last in view.entries.values())
-
-    size_bound()
-    staleness_bound()
+    # the properties of test_dissemination, 200 Hypothesis cases each; a
+    # module import, so pytest collects them there only
+    test_dissemination.test_size_bound_never_exceeded()
+    test_dissemination.test_staleness_bound_after_maintenance()
 
     # the same size bound observed through full engine traces
     engine_ok = True

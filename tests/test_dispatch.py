@@ -6,7 +6,6 @@ draws re-ranked walk by walk, dispatch must equal it bit for bit wherever
 both see the same hearings; with their own draws the two must agree in
 distribution."""
 
-import contextlib
 import dataclasses
 import math
 
@@ -25,16 +24,6 @@ from rawsim.sink import coverage_fractions
 S = 1_000_000  # ticks per second
 
 
-@contextlib.contextmanager
-def patched(owner, name, value):
-    real = getattr(owner, name)
-    setattr(owner, name, value)
-    try:
-        yield
-    finally:
-        setattr(owner, name, real)
-
-
 class Replayed:
     """A stand-in for the "walks" generator that hands out given draws in
     order; past their end it gives NaN, which no hop can use."""
@@ -50,25 +39,28 @@ class Replayed:
 def reference_draws(fn, ticks, horizon, rw_length):
     """fn, a dispatcher that steps its walks through oracles.step, wrapped
     to sort its deposit log and to record the draw it gives each walk's
-    hops, keyed by (launch tick, origin) from the walk's own record."""
-    draws = {}
+    hops, keyed by (launch tick, origin) from the walk's own record; after
+    a step, msg.ttl is the hops the walk has left."""
+    phases, steps = [], []
 
-    def dispatcher(phases, *args):
-        real_step = oracles.step
+    def walk_draw(args, _):
+        msg, _, _, t, pick = args
+        return (t - (rw_length - msg.ttl) * ticks["hop_latency_s"], msg.origin), pick
 
-        def recording_step(msg, known, schedule, t, pick):
-            launched = t - (rw_length - msg.ttl + 1) * ticks["hop_latency_s"]
-            draws.setdefault((launched, msg.origin), []).append(pick)
-            return real_step(msg, known, schedule, t, pick)
-
-        with patched(oracles, "step", recording_step):
-            result = fn(phases, *args)
+    def dispatcher(*args):
+        phases.append(args[0])
+        with oracles.recording(oracles, "step", walk_draw) as made:
+            result = fn(*args)
+        steps.extend(made)
         result.deposits.sort()
         return result
 
-    def walk_major(phases):
+    def walk_major():
         """The recorded draws, walk by walk in launch order."""
-        _, start, origin = engine.launch_schedule(phases, ticks, horizon)
+        draws = {}
+        for walk, pick in steps:
+            draws.setdefault(walk, []).append(pick)
+        _, start, origin = engine.launch_schedule(phases[0], ticks, horizon)
         walks = list(zip(start.tolist(), origin.tolist()))
         assert set(draws) <= set(walks)
         return [pick for walk in walks for pick in draws.get(walk, [])]
@@ -78,16 +70,9 @@ def reference_draws(fn, ticks, horizon, rw_length):
 
 def dispatched(fn, phases, adjacency, ticks, horizon, rw_length, rng):
     """fn's Dispatch and the known lists of the neighbour tables it built."""
-    made = []
-
-    class RecordedTable(dissemination.NeighborTable):
-        def __init__(self):
-            super().__init__()
-            made.append(self)
-
-    with patched(dissemination, "NeighborTable", RecordedTable):
+    with oracles.recording(dissemination, "NeighborTable", lambda _, table: table.known) as made:
         result = fn(phases, adjacency, ticks, horizon, rw_length, rng)
-    return result, [t.known for t in made]
+    return result, made
 
 
 def hop_ticks_meet_hearings(schedule):
@@ -163,9 +148,9 @@ def test_dispatch_equals_the_reference_on_tied_schedules(schedule, block):
         oracles.dispatch, ticks, schedule["horizon"], schedule["rw_length"]
     )
     expected = dispatched(oracle, **args)
-    replayed = Replayed(walk_major(args["phases"]))
+    replayed = Replayed(walk_major())
     # the block size changes no draw
-    with patched(engine, "BLOCK", block):
+    with oracles.patched(engine, "BLOCK", block):
         closed = dispatched(engine.dispatch, **dict(args, rng=replayed))
     assert closed == expected
 
@@ -173,14 +158,13 @@ def test_dispatch_equals_the_reference_on_tied_schedules(schedule, block):
 def outputs(config, fn, rng=None):
     """A run's simulated text and a copy of its Dispatch, with fn as the
     dispatcher and, if given, rng for the "walks" stream."""
-    seen = []
-
-    def recording(*args):
-        result = fn(*args[:-1], rng or args[-1])
-        seen.append(dataclasses.replace(result, deposits=list(result.deposits)))
-        return result
-
-    with patched(engine, "dispatch", recording):
+    with (
+        oracles.patched(engine, "dispatch", lambda *args: fn(*args[:-1], rng or args[-1])),
+        oracles.recording(
+            engine, "dispatch",
+            lambda _, result: dataclasses.replace(result, deposits=list(result.deposits)),
+        ) as seen,
+    ):
         trace = run(config)
     return oracles.simulated_text(trace), seen[0]
 
@@ -203,19 +187,11 @@ def test_runs_equal_the_reference(variant, seed, latency, rw_length, view, wake,
         hop_latency_s=latency, rw_length=rw_length, view_policy=view,
         sink_wake_sleeping=wake, advertise_period_s=advertise,
     )
-    ticks = {name: to_ticks(sec) for name, sec in config.tick_durations().items()}
-    horizon = to_ticks(config.horizon_s)
     oracle, walk_major = reference_draws(
-        oracles.dispatch, ticks, horizon, config.resolved_rw_length()
+        oracles.dispatch, config.ticks(), to_ticks(config.horizon_s), config.resolved_rw_length()
     )
-    phases = []
-
-    def recording_oracle(*args):
-        phases.append(args[0])
-        return oracle(*args)
-
-    expected = outputs(config, recording_oracle)
-    closed = outputs(config, engine.dispatch, Replayed(walk_major(phases[0])))
+    expected = outputs(config, oracle)
+    closed = outputs(config, engine.dispatch, Replayed(walk_major()))
     assert closed == expected
     assert closed[1].hops > 0 or rw_length == "0"
 
@@ -241,7 +217,7 @@ def test_coverage_agrees_with_the_reference_in_distribution():
     for seed in range(100):
         config = base.with_updates(seed=seed)
         for fn, rows in curves.items():
-            with patched(engine, "dispatch", fn):
+            with oracles.patched(engine, "dispatch", fn):
                 rows.append(coverage_fractions(run(config).sink_report))
     closed, queued = curves[engine.dispatch], curves[oracles.dispatch]
     assert np.mean(closed) > 6 / 20  # walks carry origins beyond the visited nodes
@@ -269,7 +245,7 @@ def walk_draw_sizes(config):
         walks.append(RecordedDraws(rng_stream(seed, label)))
         return walks[-1]
 
-    with patched(engine, "rng_stream", stream):
+    with oracles.patched(engine, "rng_stream", stream):
         trace = run(config)
     return trace.event_counts, walks[0].sizes
 
@@ -291,37 +267,63 @@ def test_walks_that_make_no_hops_draw_nothing():
     assert counts["launch"] > 0 and sizes == []
 
 
-# Two nodes in range, U = 10 s, active 1 s, hops every 0.25 s. Node 0
-# (phase 0) and node 1 (phase 9.5 s) first share a window at 10 s, where
-# each first hears the other, at the tick of a hop of each node's first
-# walk; before it neither knows anyone, so every hop stalls. A hop sees
-# the hearings of its own tick, whatever the hello interval: hop 40 of node
-# 0's walk moves it to node 1, and hop 2 of node 1's walk moves it to node
-# 0. Had either hop missed the hearing it would have stalled, and its walk
-# would end at its origin.
-@pytest.mark.parametrize("hello_interval", [S // 2, S // 4, S // 8], ids=[">", "=", "<"])
-@pytest.mark.parametrize("rw_length, walk, storage", [(40, 0, 1), (2, 1, 0)])
+def meet_at_10_s(hello_interval, rw_length, walk, late):
+    """Nodes 0 (phase 0) and 1 (phase 9.5 s) in range, U = 10 s, active
+    1 s, hops every 0.25 s, up to 10 s; with late, also node 2 (phase
+    20 s), in range of node 0 only, up to 20 s. Returns the first hearings
+    as (tick, sender), the neighbour tables and where the walk launched
+    at node walk's phase deposits."""
+    phases = [0, 19 * S // 2] + [20 * S] * late
+    adjacency = [[1, 2], [0], [0]] if late else [[1], [0]]
+    ticks = {"period": 10 * S, "t_active_s": S, "hello_interval_s": hello_interval,
+             "hop_latency_s": S // 4, "advertise_period_s": 10 * S}
+    horizon = (10 + 10 * late) * S
+    heard = dissemination.discover(phases, adjacency, ticks, horizon)
+    closed, known = dispatched(
+        engine.dispatch, phases, adjacency, ticks, horizon, rw_length, rng_stream(1, "walks")
+    )
+    end = phases[walk] + rw_length * S // 4
+    stored = {origin: node for t, node, origin in closed.deposits if t == end}
+    return [(t, sender) for t, _, sender, _ in heard], known, stored[walk]
+
+
+HELLO_INTERVALS = pytest.mark.parametrize(
+    "hello_interval", [S // 2, S // 4, S // 8], ids=[">", "=", "<"]
+)
+WALKS = pytest.mark.parametrize("rw_length, walk, storage", [(40, 0, 1), (2, 1, 0)])
+
+
+# Nodes 0 and 1 first share a window at 10 s, where each first hears the
+# other, at the tick of a hop of each node's first walk; before it neither
+# knows anyone, so every hop stalls. A hop sees the hearings of its own
+# tick, whatever the hello interval: hop 40 of node 0's walk moves it to
+# node 1, and hop 2 of node 1's walk moves it to node 0. Had either hop
+# missed the hearing it would have stalled, and its walk would end at its
+# origin. These are the last hearings of the run, so discovery has settled
+# at 10 s and both hops read their node's whole table.
+@HELLO_INTERVALS
+@WALKS
 def test_a_hearing_on_a_hop_tick_decides_the_storage_node(
     hello_interval, rw_length, walk, storage
 ):
-    schedule = dict(
-        phases=[0, 19 * S // 2],
-        adjacency=[[1], [0]],
-        ticks={"period": 10 * S, "t_active_s": S, "hello_interval_s": hello_interval,
-               "hop_latency_s": S // 4, "advertise_period_s": 10 * S},
-        horizon=10 * S,
-        rw_length=rw_length,
-        rng=rng_stream(1, "walks"),
-    )
-    heard = dissemination.discover(
-        schedule["phases"], schedule["adjacency"], schedule["ticks"], schedule["horizon"]
-    )
-    assert [(t, sender) for t, _, sender, _ in heard] == [(10 * S, 1), (10 * S, 0)]
-    closed, known = dispatched(engine.dispatch, **schedule)
+    heard, known, stored = meet_at_10_s(hello_interval, rw_length, walk, late=False)
+    assert heard == [(10 * S, 1), (10 * S, 0)]
     assert known == [[1], [0]]
-    deposits = {origin: (t, node) for t, node, origin in closed.deposits}
-    launched = schedule["phases"][walk]
-    assert deposits[walk] == (launched + rw_length * S // 4, storage)
+    assert stored == storage
+
+
+# The same walks with node 2 first heard at 20 s: discovery settles there,
+# so the hops at 10 s read their tables only up to the hearings of their
+# own tick, and must see those.
+@HELLO_INTERVALS
+@WALKS
+def test_a_hop_before_discovery_settles_hears_its_own_tick(
+    hello_interval, rw_length, walk, storage
+):
+    heard, known, stored = meet_at_10_s(hello_interval, rw_length, walk, late=True)
+    assert heard == [(10 * S, 1), (10 * S, 0), (20 * S, 2), (20 * S, 0)]
+    assert known == [[1, 2], [0], [0]]
+    assert stored == storage
 
 
 # Three nodes of phase 0 hear each other at tick 0 and launch every 10

@@ -238,23 +238,6 @@ def test_neighbor_table_no_duplicate_known_entries():
     ]
 
 
-def replayed_first_hearings(phases, adjacency, ticks, horizon):
-    """oracles.hello_tick over every hello up to the horizon, in dispatch
-    order (tick, later phase first, node id), as discover's events."""
-    awake = awake_predicate(phases, ticks["period"], ticks["t_active_s"])
-    known = [[] for _ in phases]
-    hellos = sorted(
-        (t, -phase, node)
-        for node, phase in enumerate(phases)
-        for t in range(phase, horizon + 1, ticks["hello_interval_s"])
-    )
-    return [
-        (t, later, node, u)
-        for t, later, node in hellos
-        for u in oracles.hello_tick(node, t, adjacency[node], awake, known)
-    ]
-
-
 @st.composite
 def hello_schedules(draw):
     """Small schedules; hello intervals often do not divide U, and then
@@ -280,7 +263,7 @@ INTERVAL_DIVIDES_PERIOD = ([0, 5, 11], [[1, 2], [0, 2], [0, 1]], hello_ticks(12,
 @example(LCM_PAST_HORIZON)
 @example(INTERVAL_DIVIDES_PERIOD)
 def test_discover_equals_a_replay_of_every_hello(schedule):
-    assert discover(*schedule) == replayed_first_hearings(*schedule)
+    assert discover(*schedule) == oracles.first_hearings(*schedule)
 
 
 def test_ideal_view_intersection_matches_formula():
@@ -289,15 +272,17 @@ def test_ideal_view_intersection_matches_formula():
     assert abs(measured - k * k / n) <= 0.2  # within 20% of k^2/n = 1
 
 
-@settings(max_examples=100, deadline=None)
-@given(
-    st.integers(1, 6),
-    st.lists(
-        st.tuples(st.integers(0, 20), st.floats(0, 100, allow_nan=False)),
-        min_size=1,
-        max_size=40,
-    ),
+# (origin, time) publishes; criterion 10 of test_acceptance runs the two
+# view-bound properties below too
+PUBLISHES = st.lists(
+    st.tuples(st.integers(0, 25), st.floats(0, 200, allow_nan=False)),
+    min_size=1,
+    max_size=60,
 )
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 8), PUBLISHES)
 def test_size_bound_never_exceeded(k, publishes):
     view = View(SizeBased(k))
     for origin, t in sorted(publishes, key=lambda p: p[1]):
@@ -305,21 +290,14 @@ def test_size_bound_never_exceeded(k, publishes):
         assert len(view) <= k
 
 
-@settings(max_examples=100, deadline=None)
-@given(
-    st.floats(0.5, 50),
-    st.lists(
-        st.tuples(st.integers(0, 20), st.floats(0, 100, allow_nan=False)),
-        min_size=1,
-        max_size=40,
-    ),
-    st.floats(0, 60),
-)
+@settings(max_examples=200, deadline=None)
+@given(st.floats(0.5, 80), PUBLISHES, st.floats(0, 100))
 def test_staleness_bound_after_maintenance(tau, publishes, extra):
     view = View(TimeoutBased(tau))
     times = sorted(t for _o, t in publishes)
     for (origin, _), t in zip(publishes, times):
         view.publish(origin, now=t)
+        assert all(t - last <= tau for last in view.entries.values())
     now = times[-1] + extra
     view.maintain(now)
-    assert all(now - t <= tau for t in view.entries.values())
+    assert all(now - last <= tau for last in view.entries.values())

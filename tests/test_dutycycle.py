@@ -16,7 +16,7 @@ from rawsim.kernels import active_counts
 S = 1_000_000  # ticks per second
 
 
-def awake_predicate(phases, period, t_active):
+def checked_awake(phases, period, t_active):
     """oracles.awake_predicate, held at every call to the scalar copy of the
     rule in src: pick_next on a one-entry table moves iff the node is
     awake (-1 holds the walk). The vector copy, kernels.awake, is held to
@@ -77,7 +77,7 @@ def test_to_ticks_rounds_to_whole_microseconds():
 
 
 def test_awake_predicate_examples():
-    awake = awake_predicate(np.array([0, 3 * S, 12 * S]), 10 * S, S)
+    awake = checked_awake(np.array([0, 3 * S, 12 * S]), 10 * S, S)
     assert not awake(1, 2 * S)   # before its phase, a node is not awake
     # nor when the window arithmetic alone would say so: (2.5 - 12) % 10 = 0.5
     assert not awake(2, 5 * S // 2)
@@ -100,7 +100,7 @@ def test_awake_predicate_examples():
 )
 def test_awake_predicate_is_pure_and_periodic(t_active, t_sleep, phase, q, shift, t):
     period = t_active + t_sleep
-    awake = awake_predicate(np.array([phase]), period, t_active)
+    awake = checked_awake(np.array([phase]), period, t_active)
     # besides any t, a window edge or a tick next to one
     for when in (t, phase + q * period + shift, phase + q * period + t_active + shift):
         state = awake(0, when)
@@ -115,7 +115,7 @@ def test_awake_predicate_is_pure_and_periodic(t_active, t_sleep, phase, q, shift
 
 def test_long_run_active_fraction_exact_over_whole_periods():
     phase, period, t_active = 4 * S, 10 * S, S
-    awake = awake_predicate(np.array([phase]), period, t_active)
+    awake = checked_awake(np.array([phase]), period, t_active)
     # every millisecond over 20 whole periods past the phase
     ts = range(phase, phase + 20 * period, 1000)
     frac = np.mean([awake(0, t) for t in ts])
@@ -141,7 +141,7 @@ def test_population_matches_expectation_over_replications():
 
 def test_active_counts_matches_awake_predicate():
     phases = to_ticks(draw_phases(8, 0.0, 5.0, rng_stream(9, "phases")))
-    awake = awake_predicate(phases, 5 * S, 2 * S)
+    awake = checked_awake(phases, 5 * S, 2 * S)
     times = to_ticks(np.linspace(0.0, 30.0, 61))
     counts = active_counts(phases, 5 * S, 2 * S, times)
     for t, count in zip(times.tolist(), counts):

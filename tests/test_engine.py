@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from rawsim import kernels
+from rawsim import dissemination, engine, kernels
 from rawsim.dutycycle import to_ticks
 from rawsim.engine import SimConfig, build_topology, replicate, rng_stream, run
 from rawsim.errors import InvalidConfigError
@@ -39,35 +39,24 @@ def moving_config(**kwargs):
     return quick_config(**defaults)
 
 
-def recorded_picks(monkeypatch):
-    """Whether each pick_next call from now on moved its walk."""
-    from rawsim import dissemination
-
-    moved = []
-    real = dissemination.pick_next
-
-    def recording(node, *args):
-        result = real(node, *args)
-        moved.append(result != node)
-        return result
-
-    monkeypatch.setattr(dissemination, "pick_next", recording)
-    return moved
+def moved(args, result):
+    """Whether a pick_next call moved its walk, for oracles.recording."""
+    return result != args[0]
 
 
 @pytest.mark.parametrize("make, moves", [(quick_config, False), (moving_config, True)])
-def test_walks_of_the_small_configs_move_as_documented(monkeypatch, make, moves):
-    moved = recorded_picks(monkeypatch)
-    trace = run(make())
-    assert trace.event_counts["hop"] == len(moved) > 0
-    assert any(moved) == moves
+def test_walks_of_the_small_configs_move_as_documented(make, moves):
+    with oracles.recording(dissemination, "pick_next", moved) as picks:
+        trace = run(make())
+    assert trace.event_counts["hop"] == len(picks) > 0
+    assert any(picks) == moves
     # a visit collects the visited node's own origin, so coverage above the
     # visited share needs walks that end away from their origins
     report = trace.sink_report
     visited = len({v.node for v in report.visits}) / report.n
     assert (report.coverage > visited) == moves
     if moves:
-        assert sum(moved) >= len(moved) / 4
+        assert sum(picks) >= len(picks) / 4
 
 
 def test_rng_stream_reproducible():
@@ -168,31 +157,16 @@ def test_hops_may_take_longer_than_the_advertise_period(latency, advertise):
     assert trace.launches == trace.depositions + trace.dropped_in_flight
     assert trace.event_counts["launch"] == trace.launches + trace.launch_skips
     # a walk drops iff its last hop falls after the horizon
-    phases = to_ticks(trace.phases).tolist()
-    awake = oracles.awake_predicate(phases, to_ticks(cfg.period), to_ticks(cfg.t_active_s))
-    every, horizon = to_ticks(cfg.resolved_advertise_period()), to_ticks(cfg.horizon_s)
-    launched = [
-        t
-        for node, phase in enumerate(phases)
-        for t in range(phase, horizon + 1, every)
-        if awake(node, t)
-    ]
+    horizon = to_ticks(cfg.horizon_s)
+    launched = oracles.launches(to_ticks(trace.phases), cfg.ticks(), horizon)
     assert trace.launches == len(launched)
-    ends = [t + 3 * to_ticks(latency) for t in launched]
+    ends = [t + 3 * to_ticks(latency) for t, _ in launched]
     assert trace.dropped_in_flight == sum(end > horizon for end in ends)
 
 
-def test_run_that_neither_deposits_nor_visits_builds_no_view(monkeypatch):
-    from rawsim import dissemination, engine
-
-    built = []
-
-    def counted_view(policy):
-        built.append(policy)
-        return dissemination.View(policy)
-
-    monkeypatch.setattr(engine, "View", counted_view)
-    trace = run(active_sweep_config(50, seed=42).with_updates(horizon_s=60.0))
+def test_run_that_neither_deposits_nor_visits_builds_no_view():
+    with oracles.recording(engine, "View", lambda args, _: args) as built:
+        trace = run(active_sweep_config(50, seed=42).with_updates(horizon_s=60.0))
     assert trace.depositions == 0 and trace.sink_report is None
     assert built == []
 
@@ -214,76 +188,61 @@ def test_sleeping_origin_skips_launch():
     assert trace.event_counts["launch"] == trace.launches + trace.launch_skips
 
 
-def test_run_goes_through_the_protocol_functions(monkeypatch):
+def observed_rules(config):
+    """A run's trace, with a None per hop and per discover call and
+    whether each pick_next call moved its walk."""
+    with (
+        oracles.recording(dissemination, "hop", lambda *_: None) as hops,
+        oracles.recording(dissemination, "pick_next", moved) as picks,
+        oracles.recording(dissemination, "discover", lambda *_: None) as discovers,
+    ):
+        return run(config), hops, picks, discovers
+
+
+def test_run_goes_through_the_protocol_functions():
     # the engine must call the tested rules, not copies of them
-    from rawsim import dissemination
-
-    calls = {"hop": 0, "pick_next": 0, "discover": 0}
-    stalls = []  # whether each pick left the walk where it was
-
-    def counted(name, fn):
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            result = fn(*args, **kwargs)
-            if name == "pick_next":
-                stalls.append(result == args[0])
-            return result
-        return wrapper
-
-    for name in ("hop", "pick_next", "discover"):
-        monkeypatch.setattr(dissemination, name, counted(name, getattr(dissemination, name)))
     config = quick_config(t_sleep_s=0.0)  # always awake, so most hops move
-    trace = run(config)
-    assert calls["hop"] == trace.event_counts["hop"] > 0
-    assert calls["pick_next"] == calls["hop"]
-    assert calls["discover"] == 1
-    assert not all(stalls)
+    trace, hops, picks, discovers = observed_rules(config)
+    assert len(hops) == trace.event_counts["hop"] > 0
+    assert len(picks) == len(hops)
+    assert len(discovers) == 1
+    assert any(picks)
     # the hello count covers every hello sent up to the horizon
     phases, _ = settled_discovery(config)
     h, horizon = to_ticks(config.hello_interval_s), to_ticks(config.horizon_s)
     assert trace.event_counts["hello"] == sum(len(range(p, horizon + 1, h)) for p in phases) > 0
     # the hops know only the neighbours that discover hears: with none,
     # every hop stalls
-    calls["hop"] = 0
-    stalls.clear()
-    monkeypatch.setattr(dissemination, "discover", lambda *args: [])
-    trace = run(config)
-    assert calls["hop"] == trace.event_counts["hop"] == len(stalls) > 0
-    assert all(stalls)
+    with oracles.patched(dissemination, "discover", lambda *args: []):
+        trace, hops, picks, _ = observed_rules(config)
+    assert len(hops) == trace.event_counts["hop"] == len(picks) > 0
+    assert not any(picks)
 
 
-def test_hop_gets_int_times_and_float_picks(monkeypatch):
+def test_hop_gets_int_times_and_float_picks():
     # times are exact int ticks and the schedule every hop reads holds
     # Python ints, whether dispatch got the phases as an int64 array (as
     # from run), a list of ints or a list of numpy scalars; numpy scalars
     # on the hot path would slow every hop
-    from rawsim import dissemination, engine
-
-    times, picks, schedules = set(), set(), []
-    real_hop, real_dispatch = dissemination.hop, engine.dispatch
-
-    def recording_hop(node, known, schedule, t, pick):
-        times.add(type(t))
-        picks.add(type(pick))
-        if not schedules or schedules[-1] is not schedule:
-            schedules.append(schedule)
-        return real_hop(node, known, schedule, t, pick)
-
-    monkeypatch.setattr(dissemination, "hop", recording_hop)
+    real_dispatch = engine.dispatch
     outputs = []
     for form in (np.asarray, np.ndarray.tolist, list):
-        monkeypatch.setattr(
-            engine, "dispatch", lambda phases, *args: real_dispatch(form(phases), *args)
-        )
-        trace = run(moving_config())
-        assert trace.event_counts["hop"] > 0
-        outputs.append(oracles.simulated_text(trace))
-    assert times == {int} and picks == {float}
-    assert len(schedules) == 3
-    for schedule in schedules:
+        with (
+            oracles.patched(
+                engine, "dispatch", lambda phases, *args: real_dispatch(form(phases), *args)
+            ),
+            oracles.recording(dissemination, "hop", lambda args, _: args[2:]) as hops,
+        ):
+            trace = run(moving_config())
+        assert len(hops) == trace.event_counts["hop"] > 0
+        assert {(type(t), type(pick)) for _, t, pick in hops} == {(int, float)}
+        schedules = {id(schedule): schedule for schedule, _, _ in hops}
+        assert len(schedules) == 1  # one per run
+        schedule, = schedules.values()
         assert type(schedule.phases) is list
         assert {type(phase) for phase in schedule.phases} == {int}
         assert type(schedule.period) is int and type(schedule.t_active) is int
+        outputs.append(oracles.simulated_text(trace))
     assert outputs[0] == outputs[1] == outputs[2]
 
 
@@ -323,19 +282,6 @@ def test_no_launch_skips_when_advertising_at_multiples_of_the_period():
             assert trace.launch_skips == 0, (variant, multiple)
 
 
-def hello_schedule(phases, hello_interval, horizon):
-    """Every hello sent up to the horizon, as (tick, node) in dispatch
-    order. Equal-tick hellos dispatch in scheduling order: a node's first
-    hello is scheduled before any rescheduled one, so a later phase goes
-    first, then the lower node id."""
-    events = sorted(
-        (t, -phase, node)
-        for node, phase in enumerate(phases)
-        for t in range(phase, horizon + 1, hello_interval)
-    )
-    return [(t, node) for t, _, node in events]
-
-
 def settled_discovery(config):
     """A config's phases (ticks) and the tick max(phase) + lcm(hello, U)
     from which no hello adds a neighbour, computed without the engine."""
@@ -351,35 +297,24 @@ def settled_discovery(config):
 
 
 def replay_hellos(config, phases, horizon):
-    """Each node's known neighbours after oracles.hello_tick for every
-    hello up to the horizon, without the engine."""
-    period, t_active = to_ticks(config.period), to_ticks(config.t_active_s)
-    awake = oracles.awake_predicate(phases, period, t_active)
-    adjacency = build_topology(config).neighbors
-    known = [[] for _ in range(config.n)]
-    for t, node in hello_schedule(phases, to_ticks(config.hello_interval_s), horizon):
-        oracles.hello_tick(node, t, adjacency[node], awake, known)
+    """Each node's known neighbours, in hearing order, after every hello
+    up to the horizon (oracles.first_hearings), without the engine."""
+    heard = oracles.first_hearings(
+        phases, build_topology(config).neighbors, config.ticks(), horizon
+    )
+    known = [[] for _ in phases]
+    for _, _, sender, receiver in heard:
+        known[receiver].append(sender)
     return known
 
 
 @pytest.mark.parametrize("t_active_s", [1.0, 0.25])
-def test_one_awake_hello_per_window_when_active_time_is_the_hello_interval(
-    monkeypatch, t_active_s
-):
-    from rawsim import dissemination
-
-    heard = []  # the first hearings the engine's discover returned
-    real = dissemination.discover
-
-    def recording(*args):
-        events = real(*args)
-        heard.extend(events)
-        return events
-
-    monkeypatch.setattr(dissemination, "discover", recording)
+def test_one_awake_hello_per_window_when_active_time_is_the_hello_interval(t_active_s):
     for variant in ("normal", "small-timeout", "dense"):
-        heard.clear()
-        trace = coverage_run(variant, t_active_s=t_active_s, hello_interval_s=t_active_s)
+        # the first hearings the engine's discover returned
+        with oracles.recording(dissemination, "discover", lambda _, heard: heard) as calls:
+            trace = coverage_run(variant, t_active_s=t_active_s, hello_interval_s=t_active_s)
+        heard, = calls
         phases, settled = settled_discovery(trace.config)
         h = to_ticks(t_active_s)
         period = to_ticks(trace.config.period)
@@ -429,13 +364,11 @@ def test_discovery_is_fixed_after_one_common_period():
     ],
 )
 def test_engine_neighbour_tables_equal_a_replay_of_every_hello(
-    monkeypatch, variant, updates, horizon_vs_settled
+    variant, updates, horizon_vs_settled
 ):
     # discover lists no first hearing from the tick discovery settles on;
     # the engine's final tables must equal hello_tick replayed over every
     # hello sent
-    from rawsim import dissemination
-
     short = {"n": 30, "horizon_s": 120.0, "sink_start_s": 20.0}
     config = coverage_config(variant, seed=42).with_updates(**short, **updates)
     phases, settled = settled_discovery(config)
@@ -444,31 +377,23 @@ def test_engine_neighbour_tables_equal_a_replay_of_every_hello(
         assert to_ticks(config.horizon_s) == settled + horizon_vs_settled
     horizon = to_ticks(config.horizon_s)
 
-    made = []
-
-    class RecordedTable(dissemination.NeighborTable):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            made.append(self)
-
-    monkeypatch.setattr(dissemination, "NeighborTable", RecordedTable)
-    trace = run(config)
-    engine_known = [t.known for t in made]
+    with oracles.recording(
+        dissemination, "NeighborTable", lambda _, table: table.known
+    ) as engine_known:
+        trace = run(config)
     assert to_ticks(trace.phases).tolist() == phases
     replayed = replay_hellos(config, phases, horizon)
     assert engine_known == replayed
     assert sum(map(len, replayed)) > 0
 
 
-def test_run_without_hellos_builds_no_topology(monkeypatch):
-    from rawsim import engine
-
+def test_run_without_hellos_builds_no_topology():
     def no_topology(*args, **kwargs):
         raise AssertionError("topology built but nothing reads it")
 
-    monkeypatch.setattr(engine, "build_topology", no_topology)
     cfg = quick_config(dissemination_enabled=False, sink_visits=20, sink_gap_s=1.0)
-    trace = run(cfg)
+    with oracles.patched(engine, "build_topology", no_topology):
+        trace = run(cfg)
     # with no walks, a visit collects the visited node's own origin only
     assert trace.sink_report.coverage == 1.0
     assert trace.active_counts.shape == (61,)
@@ -539,48 +464,27 @@ def test_replicate_deterministic_aggregates():
     assert (r1.coverage_matrix == r2.coverage_matrix).all()
 
 
-def recorded_runs(monkeypatch):
-    """The traces of every engine.run that replicate makes from now on."""
-    from rawsim import engine
-
-    traces = []
-    one_run = engine.run
-
-    def recording_run(config):
-        traces.append(one_run(config))
-        return traces[-1]
-
-    monkeypatch.setattr(engine, "run", recording_run)
-    return traces
-
-
-def test_replicate_uses_consecutive_seeds(monkeypatch):
+def test_replicate_uses_consecutive_seeds():
     cfg = moving_config(replications=3)
-    traces = recorded_runs(monkeypatch)
-    replicate(cfg)
+    with oracles.recording(engine, "run", lambda _, trace: trace) as traces:
+        replicate(cfg)
     assert [t.seed for t in traces] == [5, 6, 7]
     solo = run(cfg.with_updates(seed=6))
     assert solo.summary() == traces[1].summary()
 
 
-def test_replicate_without_traces_keeps_one_run_alive(monkeypatch):
+def test_replicate_without_traces_keeps_one_run_alive():
     import weakref
 
-    from rawsim import engine
+    alive = []  # how many earlier traces are alive as each run returns
 
-    refs = []
-    alive = []
-    one_run = engine.run
-
-    def recording_run(config):
+    def kept(_, trace):
         alive.append(sum(ref() is not None for ref in refs))
-        trace = one_run(config)
-        refs.append(weakref.ref(trace))
-        return trace
+        return weakref.ref(trace)
 
-    monkeypatch.setattr(engine, "run", recording_run)
     cfg = quick_config(sink_enabled=False, dissemination_enabled=False, replications=3)
-    replicate(cfg)
+    with oracles.recording(engine, "run", kept) as refs:
+        replicate(cfg)
     assert len(alive) == 3
     assert max(alive) <= 1  # the previous run's trace, until it is replaced
 

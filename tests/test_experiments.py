@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from rawsim import engine
 from rawsim.engine import SimConfig, replicate, run
 from rawsim.errors import InvalidConfigError
@@ -49,7 +50,7 @@ def test_apply_param_regular_key():
         apply_param(cfg, "delta", "abc")
 
 
-def test_run_sweep_validates_values(monkeypatch):
+def test_run_sweep_validates_values():
     base = active_sweep_config(25)
     with pytest.raises(InvalidConfigError):
         run_sweep("empty", base, "delta", ())
@@ -59,9 +60,9 @@ def test_run_sweep_validates_values(monkeypatch):
     def no_run(*args, **kwargs):
         raise AssertionError("a run started before every value was checked")
 
-    monkeypatch.setattr(engine, "run", no_run)
-    with pytest.raises(InvalidConfigError, match="horizon_s"):
-        run_sweep("far", base, "horizon_s", ("10", "1e13"))
+    with oracles.patched(engine, "run", no_run):
+        with pytest.raises(InvalidConfigError, match="horizon_s"):
+            run_sweep("far", base, "horizon_s", ("10", "1e13"))
 
 
 def test_exp_active_vs_delta_rows_and_expectation():

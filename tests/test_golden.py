@@ -142,17 +142,10 @@ def test_simulated_text_ignores_the_config_echo():
 GOLDEN_NORMAL_DEPOSITS = "24ec5992e2c6edefc100ba4278436384d590ac062f354bf3d9f88db1de975e1d"
 
 
-def test_golden_normal_deposit_log_is_bit_exact(monkeypatch):
-    logs = []
-    real_dispatch = engine.dispatch
-
-    def recording_dispatch(*args):
-        walked = real_dispatch(*args)
-        logs.append(sorted(walked.deposits))  # a copy: the replay empties the log
-        return walked
-
-    monkeypatch.setattr(engine, "dispatch", recording_dispatch)
-    trace = run(coverage_config("normal", seed=42).with_updates(horizon_s=300.0))
+def test_golden_normal_deposit_log_is_bit_exact():
+    # a copy: the replay empties the log
+    with oracles.recording(engine, "dispatch", lambda _, walked: sorted(walked.deposits)) as logs:
+        trace = run(coverage_config("normal", seed=42).with_updates(horizon_s=300.0))
     assert trace.depositions == len(logs[0]) > 0
     text = "".join(f"{t},{storage},{origin}\n" for t, storage, origin in logs[0])
     assert sha256(text) == GOLDEN_NORMAL_DEPOSITS

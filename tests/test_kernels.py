@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from oracles import awake_predicate, dense_adjacency
 from rawsim import kernels
 from rawsim.dutycycle import to_ticks
@@ -105,41 +106,30 @@ def sweep_shape(delta, timeout_max):
 
 @pytest.mark.parametrize("delta", [0.0, 0.5, 0.9])
 @pytest.mark.parametrize("timeout_max", [0.0, 10.0])
-def test_sweep_never_counts_per_cell(monkeypatch, delta, timeout_max):
+def test_sweep_never_counts_per_cell(delta, timeout_max):
     """From the last phase on, the sweep's shape never counts per cell:
     the per-cell rule sees each sample before the last phase once (at most
     11 of 501 with phases in [0, 10] s, none with every phase at 0) and no
     other sample, and the counts equal the per-cell rule."""
     phases, t_active, times, expected = sweep_shape(delta, timeout_max)
-    per_cell = kernels.active_counts_per_cell
-    seen = []
-
-    def spy(phases, period, t_active, times):
-        seen.extend(times.tolist())
-        return per_cell(phases, period, t_active, times)
-
-    monkeypatch.setattr(kernels, "active_counts_per_cell", spy)
-    counts = kernels.active_counts(phases, 10 * S, t_active, times)
+    with oracles.recording(kernels, "active_counts_per_cell", lambda args, _: args[3]) as blocks:
+        counts = kernels.active_counts(phases, 10 * S, t_active, times)
     assert counts.tolist() == expected.tolist()
+    seen = [t for block in blocks for t in block.tolist()]
     assert seen == times[times < phases.max()].tolist()
     assert len(seen) <= (11 if timeout_max else 0)
 
 
 @pytest.mark.parametrize("delta", [0.0, 0.5, 0.9])
-def test_sweep_never_searches(monkeypatch, delta):
+def test_sweep_never_searches(delta):
     """The sweep's shape never searches the sample times, the always-on
     case (delta 0) included: every np.searchsorted haystack is the 400
     sorted phase residues."""
     phases, t_active, times, expected = sweep_shape(delta, 10.0)
-    search = np.searchsorted
-    haystacks = []
-
-    def spy(a, v, side="left", sorter=None):
-        haystacks.append(np.asarray(a).tolist())
-        return search(a, v, side, sorter)
-
-    monkeypatch.setattr(np, "searchsorted", spy)
-    counts = kernels.active_counts(phases, 10 * S, t_active, times)
+    with oracles.recording(
+        np, "searchsorted", lambda args, _: np.asarray(args[0]).tolist()
+    ) as haystacks:
+        counts = kernels.active_counts(phases, 10 * S, t_active, times)
     assert counts.tolist() == expected.tolist()
     residues = np.sort(phases % (10 * S)).tolist()
     assert haystacks and all(haystack == residues for haystack in haystacks)

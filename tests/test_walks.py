@@ -1,7 +1,7 @@
 """Model invariants of walks that read no hash: they hold for any draw order,
 so they catch a broken walk rule on their own. Each run is checked against
-a replay of every hello with oracles.hello_tick and against launches
-computed from the phases, not against the engine's own schedule."""
+oracles.first_hearings and oracles.launches, not against the engine's own
+schedule."""
 
 import math
 from collections import deque
@@ -38,23 +38,6 @@ def small_configs(draw):
     )
 
 
-def first_hearings(config, phases, period, t_active):
-    """first[receiver][sender]: the tick the receiver first heard the
-    sender, from oracles.hello_tick over every hello up to the horizon."""
-    awake = awake_predicate(phases, period, t_active)
-    adjacency = build_topology(config).neighbors
-    hello, horizon = to_ticks(config.hello_interval_s), to_ticks(config.horizon_s)
-    hellos = sorted(
-        (t, node) for node, phase in enumerate(phases) for t in range(phase, horizon + 1, hello)
-    )
-    known = [[] for _ in phases]
-    first = [{} for _ in phases]
-    for t, node in hellos:
-        for receiver in oracles.hello_tick(node, t, adjacency[node], awake, known):
-            first[receiver][node] = t
-    return first
-
-
 def within_hops(first, origin, hops):
     """The nodes a walk from origin can reach in at most hops moves, each to
     a node the mover has heard."""
@@ -73,24 +56,17 @@ def within_hops(first, origin, hops):
 def observed_run(config):
     """A run's trace, its deposit log and every pick as (node, tick,
     result)."""
-    picks, dispatched = [], []
-    real_pick, real_dispatch = dissemination.pick_next, engine.dispatch
+    def pick(args, result):
+        node, _, _, t, _ = args
+        return node, t, result
 
-    def recording_pick(node, known, schedule, t, pick):
-        picks.append((node, t, real_pick(node, known, schedule, t, pick)))
-        return picks[-1][2]
-
-    def recording_dispatch(*args):
-        walked = real_dispatch(*args)
-        dispatched.append(list(walked.deposits))  # the replay consumes the log
-        return walked
-
-    dissemination.pick_next, engine.dispatch = recording_pick, recording_dispatch
-    try:
+    with (
+        oracles.recording(dissemination, "pick_next", pick) as picks,
+        # a copy: the replay consumes the log
+        oracles.recording(engine, "dispatch", lambda _, walked: list(walked.deposits)) as logs,
+    ):
         trace = run(config)
-    finally:
-        dissemination.pick_next, engine.dispatch = real_pick, real_dispatch
-    return trace, dispatched[0], picks
+    return trace, logs[0], picks
 
 
 @settings(max_examples=60, deadline=None)
@@ -101,9 +77,13 @@ def test_walk_invariants_hold_on_random_configs(config):
     assert trace.depositions == len(deposits)
 
     phases = to_ticks(trace.phases).tolist()
-    period, t_active = to_ticks(config.period), to_ticks(config.t_active_s)
-    awake = awake_predicate(phases, period, t_active)
-    first = first_hearings(config, phases, period, t_active)
+    ticks, horizon = config.ticks(), to_ticks(config.horizon_s)
+    awake = awake_predicate(phases, ticks["period"], ticks["t_active_s"])
+    # first[receiver][sender]: the tick the receiver first heard the sender
+    first = [{} for _ in phases]
+    adjacency = build_topology(config).neighbors
+    for t, _, sender, receiver in oracles.first_hearings(phases, adjacency, ticks, horizon):
+        first[receiver][sender] = t
     # each move goes to a node the mover had heard by the hop tick and
     # that is awake then
     for node, t, result in picks:
@@ -113,17 +93,10 @@ def test_walk_invariants_hold_on_random_configs(config):
 
     # each deposit ends a walk launched rw_length hops earlier, at most
     # one per walk, within rw_length moves of its origin
-    horizon = to_ticks(config.horizon_s)
-    advertise = to_ticks(config.resolved_advertise_period())
-    launched = {
-        (t, node)
-        for node, phase in enumerate(phases)
-        for t in range(phase, horizon + 1, advertise)
-        if awake(node, t)
-    }
+    launched = set(oracles.launches(phases, ticks, horizon))
     assert trace.launches == len(launched)
     length = config.resolved_rw_length()
-    walk_ends = [(t - length * to_ticks(config.hop_latency_s), o) for t, _, o in deposits]
+    walk_ends = [(t - length * ticks["hop_latency_s"], o) for t, _, o in deposits]
     assert set(walk_ends) <= launched
     assert len(set(walk_ends)) == len(walk_ends)
     for t, storage, origin in deposits:
