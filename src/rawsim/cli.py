@@ -16,7 +16,7 @@ import numpy as np
 
 from . import topology
 from .configfile import load_config
-from .engine import SimConfig, fmt, rng_stream, run
+from .engine import SimConfig, build_topology, fmt, run
 from .errors import InvalidConfigError, PlacementParseError
 from .experiments import all_figures, run_sweep
 
@@ -112,12 +112,8 @@ def _write_out(out, default_name, text):
 
 def cmd_gen(args):
     config = _load_base_config(args)
-    positions = topology.place_uniform(
-        config.n, config.width, config.height, rng_stream(config.seed, "placement")
-    )
-    return _write_out(
-        args.out, f"placement_n{config.n}.txt", topology.save_placement(positions)
-    )
+    positions = build_topology(config).positions  # the run's placement
+    return _write_out(args.out, f"placement_n{config.n}.txt", topology.save_placement(positions))
 
 
 def cmd_run(args):

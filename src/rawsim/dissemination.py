@@ -127,9 +127,10 @@ def hop(node, known, schedule, t, pick):
 
 
 def discover(phases, adjacency, ticks, horizon):
-    """Every first hearing of a hello, as (tick, -sender phase, sender,
-    receiver), sorted. Phases, ticks and the horizon are integer ticks;
-    adjacency lists each node's neighbours in ascending order.
+    """Every node's neighbour table, as int64 arrays (indptr, senders,
+    heard) in CSR by receiver: the senders it first heard, by tick, then
+    later phase first, then lower id, and the tick of each hearing.
+    Phases, ticks and the horizon are integer ticks.
 
     v sends its j-th hello at phase_v + j*hello_interval, and if v is awake
     then, every topological neighbour awake then hears it. v is awake at
@@ -148,16 +149,18 @@ def discover(phases, adjacency, ticks, horizon):
     receiver = np.fromiter(itertools.chain.from_iterable(adjacency), np.int64, sender.size)
     edges = np.stack((sender, receiver))  # the directed edges not yet heard
     offsets = np.arange(0, end - int(phase.min()), hello_interval)  # j*hello_interval
-    found = [np.empty((4, 0), dtype=np.int64)]
+    found = [np.empty((3, 0), dtype=np.int64)]
     for offset in offsets[kernels.awake(offsets, period, t_active)].tolist():
         t = phase[edges[0]] + offset
         hears = (t < end) & kernels.awake(t - phase[edges[1]], period, t_active)
-        found.append(np.vstack((t, -phase[edges[0]], edges))[:, hears])
+        found.append(np.vstack((t, edges))[:, hears])
         edges = edges[:, ~hears]
         if not edges.size:
             break
-    events = np.concatenate(found, axis=1)
-    return list(zip(*events[:, np.lexsort(events[::-1])].tolist()))
+    heard, sender, receiver = np.concatenate(found, axis=1)
+    order = np.lexsort((sender, -phase[sender], heard, receiver))
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(receiver, minlength=phase.size))))
+    return indptr, sender[order], heard[order]
 
 
 def resolve_rw_length(spec, n):

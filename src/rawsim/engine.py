@@ -331,34 +331,34 @@ def launch_schedule(phases, ticks, horizon):
 
 
 def dispatch(phases, adjacency, ticks, horizon, rw_length, rng):
-    """Make the first hearings of hellos (dissemination.discover), the
-    launches (launch_schedule) and the walk hops of a run up to the
-    horizon. Returns the deposit log and the walk counters.
+    """Make the neighbour tables (dissemination.discover), the launches
+    (launch_schedule) and the walk hops of a run up to the horizon.
+    Returns the deposit log and the walk counters.
 
     Walk w, launched at T_w, makes hop k at T_w + k*hop_latency for
     k <= min(rw_length, (horizon - T_w) // hop_latency). Walks never
     interact, so they go one after another in launch order, each making
     its hops in order, and the j-th hop counted this way takes the j-th
     draw of rng, drawn BLOCK at a time. A hop at tick t knows the senders
-    its node first heard at ticks <= t. A walk is the node holding it: one
-    that made rw_length hops deposits there at T_w + rw_length*hop_latency
-    (at its launch when rw_length is 0), and any other is dropped in
-    flight. Times are Python ints and picks Python floats, and every hop
-    reads the run's dutycycle.Schedule of Python ints: numpy scalars
-    would slow each of the two frames a hop costs (dissemination.hop).
+    its node first heard at ticks <= t, its whole table from the last tick
+    heard on. A walk is the node holding it: one that made rw_length hops
+    deposits there at T_w + rw_length*hop_latency (at its launch when
+    rw_length is 0), and any other is dropped in flight. Times are Python
+    ints and picks Python floats, and every hop reads the run's
+    dutycycle.Schedule of Python ints: numpy scalars would slow each of
+    the two frames a hop costs (dissemination.hop).
     """
     hop_latency = ticks["hop_latency_s"]
     hop = dissemination.hop
     schedule = dutycycle.Schedule(
         np.asarray(phases, dtype=np.int64).tolist(), ticks["period"], ticks["t_active_s"]
     )
-    known = [dissemination.NeighborTable().known for _ in phases]  # in hearing order
-    heard_at = [[] for _ in phases]    # the tick of each known[node] entry
-    heard = dissemination.discover(phases, adjacency, ticks, horizon)
-    for t, _, sender, receiver in heard:
-        known[receiver].append(sender)
-        heard_at[receiver].append(t)
-    settled = heard[-1][0] if heard else 0  # every table is whole from here
+    tables = dissemination.discover(phases, adjacency, ticks, horizon)
+    indptr, senders, heard = (a.tolist() for a in tables)
+    rows = list(zip(indptr, indptr[1:]))
+    known = [dissemination.NeighborTable(senders[a:b]).known for a, b in rows]
+    heard_at = [heard[a:b] for a, b in rows]  # the tick of each known[node] entry
+    settled = max(heard, default=0)    # every table is whole from here
 
     launch_events, start, origin = launch_schedule(phases, ticks, horizon)
     made = np.minimum(rw_length, (horizon - start) // hop_latency)  # hops per walk

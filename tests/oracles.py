@@ -5,8 +5,8 @@ References: the dense disk-graph adjacency that kernels.adjacency_csr
 must equal (dense_adjacency), a sampling oracle for analytic values
 (mean_ideal_intersection), the scalar awake rule that
 dissemination.pick_next and kernels.awake must equal (awake_predicate),
-the scalar hello (hello_tick) and its replay over every hello, whose first
-hearings dissemination.discover and the engine's neighbour tables must
+the scalar hello (hello_tick) and its replay over every hello, whose
+neighbour tables dissemination.discover and the engine's tables must
 equal (first_hearings), every awake launch (launches), and the
 event-queue dispatch that engine.dispatch must equal bit for bit given
 the same draws for each walk (dispatch, with RWMessage and step).
@@ -95,23 +95,28 @@ def hello_tick(node, now, neighbors, awake, known):
 
 def first_hearings(phases, adjacency, ticks, horizon):
     """hello_tick over every hello sent up to the horizon, in dispatch
-    order, as discover's events (tick, -sender phase, sender, receiver).
-    Equal-tick hellos go in scheduling order: a node's first hello is
-    scheduled before any rescheduled one, so a later phase goes first,
-    then the lower node id."""
+    order, as discover's neighbour tables (indptr, senders, heard): int64
+    arrays in CSR by receiver, each row in hearing order with the tick of
+    each hearing. Equal-tick hellos go in scheduling order: a node's first
+    hello is scheduled before any rescheduled one, so a later phase goes
+    first, then the lower node id."""
     phases = np.asarray(phases, dtype=np.int64).tolist()
     awake = awake_predicate(phases, ticks["period"], ticks["t_active_s"])
     known = [[] for _ in phases]
+    heard = [[] for _ in phases]
     hellos = sorted(
         (t, -phase, node)
         for node, phase in enumerate(phases)
         for t in range(phase, horizon + 1, ticks["hello_interval_s"])
     )
-    return [
-        (t, later, node, u)
-        for t, later, node in hellos
-        for u in hello_tick(node, t, adjacency[node], awake, known)
-    ]
+    for t, _, node in hellos:
+        for u in hello_tick(node, t, adjacency[node], awake, known):
+            heard[u].append(t)
+
+    def flat(rows):
+        return np.array([x for row in rows for x in row], dtype=np.int64)
+
+    return np.cumsum([0, *map(len, known)], dtype=np.int64), flat(known), flat(heard)
 
 
 def launches(phases, ticks, horizon):

@@ -8,9 +8,11 @@ import sys
 
 import pytest
 
+import oracles
 import rawsim
+from rawsim import topology
 from rawsim.cli import COMMANDS, build_parser, cli
-from rawsim.topology import load_placement
+from rawsim.topology import load_placement, save_placement
 
 
 def test_gen_writes_loadable_placement(tmp_path):
@@ -18,6 +20,16 @@ def test_gen_writes_loadable_placement(tmp_path):
     assert cli(["gen", "--set", "n=25", "--seed", "3", "--out", str(out)]) == 0
     positions = load_placement(out.read_text())
     assert positions.shape == (25, 2)
+
+
+def test_gen_writes_the_placement_a_run_builds(tmp_path):
+    sets = ["--seed", "3", "--set", "n=25", "--set", "width=300", "--set", "height=200"]
+    placement = tmp_path / "placement.txt"
+    assert cli(["gen", *sets, "--out", str(placement)]) == 0
+    with oracles.recording(topology, "build_adjacency", lambda args, _: args[0]) as built:
+        assert cli(["run", *sets, "--set", "horizon_s=5", "--out", str(tmp_path / "r")]) == 0
+    positions, = built
+    assert placement.read_text() == save_placement(positions)
 
 
 def test_run_missing_config_exits_2(tmp_path):

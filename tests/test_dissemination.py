@@ -203,15 +203,36 @@ def hello_ticks(period, t_active, hello_interval):
     return {"period": period, "t_active_s": t_active, "hello_interval_s": hello_interval}
 
 
+def tables(phases, adjacency, ticks, horizon):
+    """discover's neighbour tables (indptr, senders, heard) as lists."""
+    result = discover(phases, adjacency, ticks, horizon)
+    assert [a.dtype for a in result] == [np.int64] * 3
+    return [a.tolist() for a in result]
+
+
 def test_discover_awake_neighbours_hear_the_first_hello():
     # always awake: 1 and 2 hear 0's first hello; 0 hears nobody
     ticks = hello_ticks(10, 10, 1)
-    assert discover([0, 0, 0], [[1, 2], [], []], ticks, 5) == [(0, 0, 0, 1), (0, 0, 0, 2)]
+    assert tables([0, 0, 0], [[1, 2], [], []], ticks, 5) == [[0, 0, 1, 2], [0, 0], [0, 0]]
     # node 1 wakes at 3: it hears 0's hello at 3, and 0 hears 1's first
-    # hello at 3 too; the later phase goes first
-    assert discover([0, 3], [[1], [0]], hello_ticks(10, 5, 1), 50) == [
-        (3, -3, 1, 0), (3, 0, 0, 1),
-    ]
+    # hello at 3 too
+    assert tables([0, 3], [[1], [0]], hello_ticks(10, 5, 1), 50) == [[0, 1, 2], [1, 0], [3, 3]]
+
+
+@pytest.mark.parametrize(
+    "sender_phases, order",
+    [((0, 3), [2, 1]), ((3, 3), [1, 2])],
+    ids=["later-phase-first", "lower-id-first"],
+)
+def test_one_tick_hearings_go_later_phase_then_lower_id_first(sender_phases, order):
+    # always awake from its phase: node 0 wakes at 5 and first hears
+    # senders 1 and 2 there, at one tick, and its table lists them by
+    # later phase, then lower id; pick_next indexes that order
+    schedule = ([5, *sender_phases], [[1, 2], [0], [0]], hello_ticks(10, 10, 1), 20)
+    indptr, senders, heard = tables(*schedule)
+    assert indptr == [0, 2, 3, 4]
+    assert senders[:2] == order and heard[:2] == [5, 5]
+    assert [a.tolist() for a in oracles.first_hearings(*schedule)] == [indptr, senders, heard]
 
 
 def test_discover_sleeping_receiver_hears_nothing():
@@ -219,7 +240,7 @@ def test_discover_sleeping_receiver_hears_nothing():
     # [5, 7) of each period, so it never hears one
     awake = awake_predicate([0, 5], 10, 2)
     assert all(awake(0, t) and not awake(1, t) for t in range(0, 101, 10))
-    assert discover([0, 5], [[1], []], hello_ticks(10, 2, 10), 100) == []
+    assert tables([0, 5], [[1], []], hello_ticks(10, 2, 10), 100) == [[0, 0, 0], [], []]
 
 
 def test_discover_sleeping_sender_sends_nothing():
@@ -227,15 +248,13 @@ def test_discover_sleeping_sender_sends_nothing():
     # then 1 sleeps; 1 is awake at 0's hellos at 3 and 24, where 0 sleeps
     awake = awake_predicate([0, 3], 10, 2)
     assert awake(1, 3) and awake(1, 24) and not awake(0, 3) and not awake(0, 24)
-    assert discover([0, 3], [[1], []], hello_ticks(10, 2, 3), 100) == []
+    assert tables([0, 3], [[1], []], hello_ticks(10, 2, 3), 100) == [[0, 0, 0], [], []]
 
 
 def test_neighbor_table_no_duplicate_known_entries():
     # both always awake: every hello reaches the other node, but discover
     # lists only the first, so no table learns a neighbour twice
-    assert discover([0, 0], [[1], [0]], hello_ticks(10, 10, 1), 50) == [
-        (0, 0, 0, 1), (0, 0, 1, 0),
-    ]
+    assert tables([0, 0], [[1], [0]], hello_ticks(10, 10, 1), 50) == [[0, 1, 2], [1, 0], [0, 0]]
 
 
 @st.composite
@@ -263,7 +282,9 @@ INTERVAL_DIVIDES_PERIOD = ([0, 5, 11], [[1, 2], [0, 2], [0, 1]], hello_ticks(12,
 @example(LCM_PAST_HORIZON)
 @example(INTERVAL_DIVIDES_PERIOD)
 def test_discover_equals_a_replay_of_every_hello(schedule):
-    assert discover(*schedule) == oracles.first_hearings(*schedule)
+    found, replayed = discover(*schedule), oracles.first_hearings(*schedule)
+    assert [a.dtype for a in found] == [a.dtype for a in replayed] == [np.int64] * 3
+    assert all(np.array_equal(a, b) for a, b in zip(found, replayed))
 
 
 def test_ideal_view_intersection_matches_formula():

@@ -211,9 +211,10 @@ def test_run_goes_through_the_protocol_functions():
     phases, _ = settled_discovery(config)
     h, horizon = to_ticks(config.hello_interval_s), to_ticks(config.horizon_s)
     assert trace.event_counts["hello"] == sum(len(range(p, horizon + 1, h)) for p in phases) > 0
-    # the hops know only the neighbours that discover hears: with none,
-    # every hop stalls
-    with oracles.patched(dissemination, "discover", lambda *args: []):
+    # the hops know only the neighbours that discover hears: with empty
+    # tables, every hop stalls
+    nobody = (np.zeros(config.n + 1, dtype=np.int64), *np.zeros((2, 0), dtype=np.int64))
+    with oracles.patched(dissemination, "discover", lambda *args: nobody):
         trace, hops, picks, _ = observed_rules(config)
     assert len(hops) == trace.event_counts["hop"] == len(picks) > 0
     assert not any(picks)
@@ -283,15 +284,10 @@ def test_no_launch_skips_when_advertising_at_multiples_of_the_period():
 
 
 def settled_discovery(config):
-    """A config's phases (ticks) and the tick max(phase) + lcm(hello, U)
-    from which no hello adds a neighbour, computed without the engine."""
-    from rawsim.dutycycle import draw_phases
-
-    drawn = draw_phases(
-        config.n, config.timeout_min_s, config.resolved_timeout_max(),
-        rng_stream(config.seed, "phases"),
-    )
-    phases = to_ticks(drawn).tolist()
+    """A config's phases (ticks), as its run draws them, and the tick
+    max(phase) + lcm(hello, U) from which no hello adds a neighbour."""
+    bare = config.with_updates(dissemination_enabled=False, sink_enabled=False)
+    phases = to_ticks(run(bare).phases).tolist()
     lcm = math.lcm(to_ticks(config.hello_interval_s), to_ticks(config.period))
     return phases, max(phases) + lcm
 
@@ -299,22 +295,19 @@ def settled_discovery(config):
 def replay_hellos(config, phases, horizon):
     """Each node's known neighbours, in hearing order, after every hello
     up to the horizon (oracles.first_hearings), without the engine."""
-    heard = oracles.first_hearings(
+    indptr, senders, _ = oracles.first_hearings(
         phases, build_topology(config).neighbors, config.ticks(), horizon
     )
-    known = [[] for _ in phases]
-    for _, _, sender, receiver in heard:
-        known[receiver].append(sender)
-    return known
+    return [row.tolist() for row in np.split(senders, indptr[1:-1])]
 
 
 @pytest.mark.parametrize("t_active_s", [1.0, 0.25])
 def test_one_awake_hello_per_window_when_active_time_is_the_hello_interval(t_active_s):
     for variant in ("normal", "small-timeout", "dense"):
-        # the first hearings the engine's discover returned
-        with oracles.recording(dissemination, "discover", lambda _, heard: heard) as calls:
+        # the neighbour tables the engine's discover returned
+        with oracles.recording(dissemination, "discover", lambda _, tables: tables) as calls:
             trace = coverage_run(variant, t_active_s=t_active_s, hello_interval_s=t_active_s)
-        heard, = calls
+        (_, senders, heard), = calls
         phases, settled = settled_discovery(trace.config)
         h = to_ticks(t_active_s)
         period = to_ticks(trace.config.period)
@@ -329,9 +322,8 @@ def test_one_awake_hello_per_window_when_active_time_is_the_hello_interval(t_act
             assert [t for t in schedule if awake(node, t)] == windows, (variant, node)
         # so a node is first heard at the start of one of its windows,
         # before discovery settles
-        assert heard, variant
-        for t, later, sender, _ in heard:
-            assert -later == phases[sender], (variant, sender)
+        assert heard.size, variant
+        for sender, t in zip(senders.tolist(), heard.tolist()):
             assert (t - phases[sender]) % period == 0 and t < settled, (variant, sender, t)
 
 

@@ -80,10 +80,10 @@ def test_walk_invariants_hold_on_random_configs(config):
     ticks, horizon = config.ticks(), to_ticks(config.horizon_s)
     awake = awake_predicate(phases, ticks["period"], ticks["t_active_s"])
     # first[receiver][sender]: the tick the receiver first heard the sender
-    first = [{} for _ in phases]
     adjacency = build_topology(config).neighbors
-    for t, _, sender, receiver in oracles.first_hearings(phases, adjacency, ticks, horizon):
-        first[receiver][sender] = t
+    tables = oracles.first_hearings(phases, adjacency, ticks, horizon)
+    indptr, senders, heard = (a.tolist() for a in tables)
+    first = [dict(zip(senders[a:b], heard[a:b])) for a, b in zip(indptr, indptr[1:])]
     # each move goes to a node the mover had heard by the hop tick and
     # that is awake then
     for node, t, result in picks:
