@@ -16,7 +16,7 @@ import numpy as np
 
 from . import topology
 from .configfile import load_config
-from .engine import SimConfig, build_topology, fmt, run
+from .engine import SimConfig, fmt, placement, run
 from .errors import InvalidConfigError, PlacementParseError
 from .experiments import all_figures, run_sweep
 
@@ -112,7 +112,7 @@ def _write_out(out, default_name, text):
 
 def cmd_gen(args):
     config = _load_base_config(args)
-    positions = build_topology(config).positions  # the run's placement
+    positions = placement(config)
     return _write_out(args.out, f"placement_n{config.n}.txt", topology.save_placement(positions))
 
 

@@ -128,9 +128,9 @@ def hop(node, known, schedule, t, pick):
 
 def discover(phases, adjacency, ticks, horizon):
     """Every node's neighbour table, as int64 arrays (indptr, senders,
-    heard) in CSR by receiver: the senders it first heard, by tick, then
-    later phase first, then lower id, and the tick of each hearing.
-    Phases, ticks and the horizon are integer ticks.
+    heard) in CSR by receiver: the senders it first heard, by (tick, id),
+    and the tick of each hearing. Phases, ticks and the horizon are
+    integer ticks.
 
     v sends its j-th hello at phase_v + j*hello_interval, and if v is awake
     then, every topological neighbour awake then hears it. v is awake at
@@ -158,7 +158,7 @@ def discover(phases, adjacency, ticks, horizon):
         if not edges.size:
             break
     heard, sender, receiver = np.concatenate(found, axis=1)
-    order = np.lexsort((sender, -phase[sender], heard, receiver))
+    order = np.lexsort((sender, heard, receiver))
     indptr = np.concatenate(([0], np.cumsum(np.bincount(receiver, minlength=phase.size))))
     return indptr, sender[order], heard[order]
 

@@ -272,7 +272,8 @@ def fmt(x):
     return f"{float(x):.6g}"
 
 
-def build_topology(config):
+def placement(config):
+    """A run's node positions: its placement file's, or uniform draws."""
     if config.placement_file:
         try:
             with open(config.placement_file) as fh:
@@ -287,10 +288,13 @@ def build_topology(config):
                 f"placement file {config.placement_file} has {positions.shape[0]} "
                 f"nodes but n is {config.n}; set n={positions.shape[0]}"
             )
-    else:
-        rng = rng_stream(config.seed, "placement")
-        positions = topo.place_uniform(config.n, config.width, config.height, rng)
-    return topo.build_adjacency(positions, config.radio_range)
+        return positions
+    rng = rng_stream(config.seed, "placement")
+    return topo.place_uniform(config.n, config.width, config.height, rng)
+
+
+def build_topology(config):
+    return topo.build_adjacency(placement(config), config.radio_range)
 
 
 BLOCK = 1024                           # walk draws per rng call
@@ -312,14 +316,13 @@ class Dispatch:
 
 
 def launch_schedule(phases, ticks, horizon):
-    """Every launch up to the horizon, ordered by tick, then later phase
-    first, then node id. Returns the number of launch events and the ticks
-    and origins of the walks launched, as int64 arrays; a node launches iff
-    it is awake at the launch tick (kernels.awake)."""
-    n, advertise_period = len(phases), ticks["advertise_period_s"]
+    """Every launch up to the horizon, ordered by (tick, node id). Returns
+    the number of launch events and the ticks and origins of the walks
+    launched, as int64 arrays; a node launches iff it is awake at the
+    launch tick (kernels.awake)."""
+    advertise_period = ticks["advertise_period_s"]
     phase = np.asarray(phases, dtype=np.int64)
-    nodes = np.lexsort((np.arange(n), -phase))
-    nodes = nodes[phase[nodes] <= horizon]
+    nodes = np.flatnonzero(phase <= horizon)
     rounds = (horizon - phase[nodes]) // advertise_period + 1
     node = np.repeat(nodes, rounds)
     m = np.arange(node.size) - np.repeat(np.cumsum(rounds) - rounds, rounds)

@@ -12,7 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import SimConfig, build_topology, fmt, replicate
+# unused here: perfbench/layers.py wraps experiments.build_topology by name
+from .engine import SimConfig, build_topology, fmt, placement, replicate
 from .errors import InvalidConfigError
 from .sink import predicted_coverage, visit_times
 from .topology import save_placement
@@ -253,10 +254,8 @@ def all_figures(seed=42, out_dir=".", runs=15):
         emit(dataset.name, dataset.to_csv())
 
     # deployment snapshots matching the two grids
-    normal = build_topology(coverage_config("normal", seed=seed))
-    dense = build_topology(coverage_config("dense", seed=seed))
-    for name, top in (("placement_1000x1000", normal), ("placement_550x550", dense)):
+    for name, variant in (("placement_1000x1000", "normal"), ("placement_550x550", "dense")):
         path = out / f"{name}.txt"
-        path.write_text(save_placement(top.positions))
+        path.write_text(save_placement(placement(coverage_config(variant, seed=seed))))
         written.append(path)
     return written

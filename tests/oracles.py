@@ -9,9 +9,10 @@ the scalar hello (hello_tick) and its replay over every hello, whose
 neighbour tables dissemination.discover and the engine's tables must
 equal (first_hearings), every awake launch (launches), and the
 event-queue dispatch that engine.dispatch must equal bit for bit given
-the same draws for each walk (dispatch, with RWMessage and step).
-simulated_text is the text of a run that the golden pins hash and that
-tests compare runs by.
+the same draws for each walk (dispatch, with RWMessage and step). They
+share the model's one tie rule, (tick, node id): equal-tick hellos go by
+sender and equal-tick launches by node. simulated_text is the text of a
+run that the golden pins hash and that tests compare runs by.
 
 Observing the engine: patched replaces an attribute for the span of a
 with block; recording wraps a function so that each call is kept. Both
@@ -94,22 +95,20 @@ def hello_tick(node, now, neighbors, awake, known):
 
 
 def first_hearings(phases, adjacency, ticks, horizon):
-    """hello_tick over every hello sent up to the horizon, in dispatch
-    order, as discover's neighbour tables (indptr, senders, heard): int64
-    arrays in CSR by receiver, each row in hearing order with the tick of
-    each hearing. Equal-tick hellos go in scheduling order: a node's first
-    hello is scheduled before any rescheduled one, so a later phase goes
-    first, then the lower node id."""
+    """hello_tick over every hello sent up to the horizon, in (tick,
+    sender) order, as discover's neighbour tables (indptr, senders, heard):
+    int64 arrays in CSR by receiver, each row in hearing order with the
+    tick of each hearing."""
     phases = np.asarray(phases, dtype=np.int64).tolist()
     awake = awake_predicate(phases, ticks["period"], ticks["t_active_s"])
     known = [[] for _ in phases]
     heard = [[] for _ in phases]
     hellos = sorted(
-        (t, -phase, node)
+        (t, node)
         for node, phase in enumerate(phases)
         for t in range(phase, horizon + 1, ticks["hello_interval_s"])
     )
-    for t, _, node in hellos:
+    for t, node in hellos:
         for u in hello_tick(node, t, adjacency[node], awake, known):
             heard[u].append(t)
 
@@ -171,35 +170,32 @@ class RWMessage:
 
 
 def step(msg, known, schedule, t, pick):
-    """One ttl-consuming hop of msg at tick t, through dissemination.hop.
-    Returns True when ttl hits zero: msg.current is then the storage node."""
+    """One ttl-consuming hop of msg at tick t, through dissemination.hop;
+    once ttl hits zero, msg.current is the storage node."""
     from rawsim import dissemination
 
     msg.ttl -= 1
     msg.current = dissemination.hop(msg.current, known, schedule, t, pick)
-    return msg.ttl == 0
 
 
 def dispatch(phases, adjacency, ticks, horizon, rw_length, rng):
     """Reference for engine.dispatch, with the same arguments and result:
-    one event at a time in (tick, seq) order. Hellos and launches wait in
-    a heap. Hops wait in a first-in-first-out queue, which stays sorted by
-    (tick, seq) because every hop is due hop_latency after the event being
-    dispatched, whose tick never decreases. Hellos are dispatched until
-    discovery settles, at max(phase) + lcm(hello_interval, U). Each walk
-    is an RWMessage that deposits where step ends it, when its ttl hits
-    zero; one launched with a ttl of zero deposits at once. Hellos and
-    launches test awake_predicate; hops go through dissemination.hop with
-    the run's dutycycle.Schedule."""
+    one event at a time from one heap keyed (tick, kind, id). At a tick,
+    hellos go first, by sender, so a hop hears every hello of its own
+    tick; then launches, by node; then hops, by walk index. Hellos are
+    dispatched until discovery settles, at max(phase) + lcm(hello_interval,
+    U). Each walk is an RWMessage that deposits where step ends it, when
+    its ttl hits zero; one launched with a ttl of zero deposits at once.
+    Hellos and launches test awake_predicate; hops go through
+    dissemination.hop with the run's dutycycle.Schedule."""
     import heapq
     import math
-    from collections import deque
 
     from rawsim import dissemination
     from rawsim.dutycycle import Schedule
     from rawsim.engine import Dispatch
 
-    hello, launch = 0, 1
+    hello, launch, hop = 0, 1, 2
     n = len(phases)
     tables = [dissemination.NeighborTable() for _ in range(n)]
     known = [t.known for t in tables]
@@ -220,56 +216,43 @@ def dispatch(phases, adjacency, ticks, horizon, rw_length, rng):
     advertise_period = ticks["advertise_period_s"]
     settled = max(phases) + math.lcm(hello_interval, period)
     hello_end = min(settled, horizon + 1)
-    # the first hellos take seqs before the first launches
-    live = [node for node in range(n) if phases[node] <= horizon]
-    first = [(kind, node) for kind in (hello, launch) for node in live]
-    heap = [(phases[node], seq, kind, node) for seq, (kind, node) in enumerate(first)]
+    heap = [(phases[node], kind, node)
+            for kind in (hello, launch) for node in range(n) if phases[node] <= horizon]
     heapq.heapify(heap)
-    seq = len(heap)
 
+    walks = []                         # RWMessage by walk index
     deposits = []
-    launch_events = launches = dropped = hops_made = 0
-    hops = deque()                     # (t, seq, msg), sorted as pushed
-    while True:
-        # seq is unique, so comparing entries never reaches the payload
-        if hops and (not heap or hops[0] < heap[0]):
-            t, _, msg = hops.popleft()
-            hops_made += 1
-            if step(msg, known[msg.current], schedule, t, draw()):
-                deposits.append((t, msg.current, msg.origin))
-            elif t + hop_latency <= horizon:
-                hops.append((t + hop_latency, seq, msg))
-                seq += 1
-            else:
-                dropped += 1
-            continue
-        if not heap:
-            break
-        t, _, kind, node = heapq.heappop(heap)
+    launch_events = dropped = hops_made = 0
+    while heap:
+        t, kind, i = heapq.heappop(heap)
         if kind == hello:
-            hello_tick(node, t, adjacency[node], awake, known)
+            hello_tick(i, t, adjacency[i], awake, known)
             if t + hello_interval < hello_end:
-                heapq.heappush(heap, (t + hello_interval, seq, hello, node))
-                seq += 1
+                heapq.heappush(heap, (t + hello_interval, hello, i))
             continue
-        launch_events += 1
-        if awake(node, t):
-            launches += 1
-            msg = RWMessage(node, rw_length, node)
-            if msg.ttl == 0:
-                deposits.append((t, msg.current, msg.origin))
-            elif t + hop_latency <= horizon:
-                hops.append((t + hop_latency, seq, msg))
-                seq += 1
-            else:
-                dropped += 1
-        if t + advertise_period <= horizon:
-            heapq.heappush(heap, (t + advertise_period, seq, launch, node))
-            seq += 1
+        if kind == launch:
+            launch_events += 1
+            if t + advertise_period <= horizon:
+                heapq.heappush(heap, (t + advertise_period, launch, i))
+            if not awake(i, t):
+                continue
+            w = len(walks)
+            walks.append(RWMessage(i, rw_length, i))
+        else:
+            w = i
+            hops_made += 1
+            step(walks[w], known[walks[w].current], schedule, t, draw())
+        msg = walks[w]
+        if msg.ttl == 0:
+            deposits.append((t, msg.current, msg.origin))
+        elif t + hop_latency <= horizon:
+            heapq.heappush(heap, (t + hop_latency, hop, w))
+        else:
+            dropped += 1
     return Dispatch(
         deposits=deposits,
         launch_events=launch_events,
-        launches=launches,
+        launches=len(walks),
         hops=hops_made,
         dropped=dropped,
     )

@@ -22,10 +22,15 @@ def test_gen_writes_loadable_placement(tmp_path):
     assert positions.shape == (25, 2)
 
 
+def no_disk_graph(*_):
+    raise AssertionError("gen writes positions and builds no disk graph")
+
+
 def test_gen_writes_the_placement_a_run_builds(tmp_path):
     sets = ["--seed", "3", "--set", "n=25", "--set", "width=300", "--set", "height=200"]
     placement = tmp_path / "placement.txt"
-    assert cli(["gen", *sets, "--out", str(placement)]) == 0
+    with oracles.patched(topology, "build_adjacency", no_disk_graph):
+        assert cli(["gen", *sets, "--out", str(placement)]) == 0
     with oracles.recording(topology, "build_adjacency", lambda args, _: args[0]) as built:
         assert cli(["run", *sets, "--set", "horizon_s=5", "--out", str(tmp_path / "r")]) == 0
     positions, = built

@@ -1,10 +1,9 @@
 """engine.dispatch against the event-queue reference in tests/oracles.py.
 
 The two take the draws of the "walks" stream in different orders: the
-queue in (tick, seq) order, dispatch walk by walk. Given the reference's
-draws re-ranked walk by walk, dispatch must equal it bit for bit wherever
-both see the same hearings; with their own draws the two must agree in
-distribution."""
+queue in (tick, kind, id) order, dispatch walk by walk. Given the
+reference's draws re-ranked walk by walk, dispatch must equal it bit for
+bit; with their own draws the two must agree in distribution."""
 
 import dataclasses
 import math
@@ -12,7 +11,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -76,21 +75,6 @@ def dispatched(fn, phases, adjacency, ticks, horizon, rw_length, rng):
     return result, made
 
 
-def hop_ticks_meet_hearings(schedule):
-    """Whether a first hearing falls on the tick of some hop."""
-    ticks, horizon = schedule["ticks"], schedule["horizon"]
-    _, _, heard = dissemination.discover(schedule["phases"], schedule["adjacency"], ticks, horizon)
-    _, start, _ = engine.launch_schedule(schedule["phases"], ticks, horizon)
-    latency = ticks["hop_latency_s"]
-    last = schedule["rw_length"] * latency
-    hops = {
-        t
-        for launched in start.tolist()
-        for t in range(launched + latency, min(launched + last, horizon) + 1, latency)
-    }
-    return any(t in hops for t in heard.tolist())
-
-
 @st.composite
 def small_schedules(draw):
     """Schedules on a grid of a few ticks, where hellos, launches and hops
@@ -137,16 +121,10 @@ ALL_AT_PHASE_ZERO = dict(
 @given(small_schedules(), st.sampled_from([1, 2, 5, engine.BLOCK]))
 @example(ALL_AT_PHASE_ZERO, 1)
 def test_dispatch_equals_the_reference_on_tied_schedules(schedule, block):
-    # the queue hears every hello at a hop's tick before the hop when
-    # hellos are scheduled further ahead than hops; otherwise compare only
-    # where no hearing shares a tick with a hop
-    ticks = schedule["ticks"]
-    assume(ticks["hello_interval_s"] > ticks["hop_latency_s"]
-           or not hop_ticks_meet_hearings(schedule))
     args = {k: v for k, v in schedule.items() if k != "seed"}
     args["rng"] = rng_stream(schedule["seed"], "walks")
     oracle, walk_major = reference_draws(
-        oracles.dispatch, ticks, schedule["horizon"], schedule["rw_length"]
+        oracles.dispatch, schedule["ticks"], schedule["horizon"], schedule["rw_length"]
     )
     expected = dispatched(oracle, **args)
     replayed = Replayed(walk_major())
@@ -154,6 +132,14 @@ def test_dispatch_equals_the_reference_on_tied_schedules(schedule, block):
     with oracles.patched(engine, "BLOCK", block):
         closed = dispatched(engine.dispatch, **dict(args, rng=replayed))
     assert closed == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_schedules())
+def test_launch_schedule_equals_the_reference_launches(schedule):
+    phases, ticks, horizon = schedule["phases"], schedule["ticks"], schedule["horizon"]
+    _, start, origin = engine.launch_schedule(phases, ticks, horizon)
+    assert list(zip(start.tolist(), origin.tolist())) == oracles.launches(phases, ticks, horizon)
 
 
 def outputs(config, fn, rng=None):
@@ -174,8 +160,7 @@ def outputs(config, fn, rng=None):
 @given(
     variant=st.sampled_from(COVERAGE_VARIANTS),
     seed=st.integers(0, 10_000),
-    # below the 1 s hello interval, so every hop hears the hellos of its tick
-    latency=st.sampled_from([0.01, 0.25, 0.75]),
+    latency=st.sampled_from([0.01, 0.25, 0.75, 1.0, 2.5]),
     rw_length=st.sampled_from(["0", "4", "n/2"]),
     view=st.sampled_from(["size:sqrt", "size:2", "timeout:15"]),
     wake=st.booleans(),

@@ -219,19 +219,15 @@ def test_discover_awake_neighbours_hear_the_first_hello():
     assert tables([0, 3], [[1], [0]], hello_ticks(10, 5, 1), 50) == [[0, 1, 2], [1, 0], [3, 3]]
 
 
-@pytest.mark.parametrize(
-    "sender_phases, order",
-    [((0, 3), [2, 1]), ((3, 3), [1, 2])],
-    ids=["later-phase-first", "lower-id-first"],
-)
-def test_one_tick_hearings_go_later_phase_then_lower_id_first(sender_phases, order):
+@pytest.mark.parametrize("sender_phases", [(0, 3), (3, 3)], ids=["phases-differ", "phases-equal"])
+def test_one_tick_hearings_go_lower_id_first(sender_phases):
     # always awake from its phase: node 0 wakes at 5 and first hears
-    # senders 1 and 2 there, at one tick, and its table lists them by
-    # later phase, then lower id; pick_next indexes that order
+    # senders 1 and 2 there, at one tick, and its table lists them by id
+    # whatever their phases; pick_next indexes that order
     schedule = ([5, *sender_phases], [[1, 2], [0], [0]], hello_ticks(10, 10, 1), 20)
     indptr, senders, heard = tables(*schedule)
     assert indptr == [0, 2, 3, 4]
-    assert senders[:2] == order and heard[:2] == [5, 5]
+    assert senders[:2] == [1, 2] and heard[:2] == [5, 5]
     assert [a.tolist() for a in oracles.first_hearings(*schedule)] == [indptr, senders, heard]
 
 
@@ -285,6 +281,39 @@ def test_discover_equals_a_replay_of_every_hello(schedule):
     found, replayed = discover(*schedule), oracles.first_hearings(*schedule)
     assert [a.dtype for a in found] == [a.dtype for a in replayed] == [np.int64] * 3
     assert all(np.array_equal(a, b) for a, b in zip(found, replayed))
+
+
+@st.composite
+def one_hello_per_period(draw):
+    """Schedules where each node sends one awake hello per period, at its
+    phase: hello interval = t_active = a, a divides U, U >= 2a, distinct
+    phase residues, and a horizon of at least max(phase) + 2U."""
+    a = draw(st.integers(1, 6))
+    period = a * draw(st.integers(2, 6))
+    n = draw(st.integers(1, min(period, 8)))
+    residues = draw(st.lists(st.integers(0, period - 1), min_size=n, max_size=n, unique=True))
+    phases = [r + period * draw(st.integers(0, 2)) for r in residues]
+    linked = draw(st.lists(st.booleans(), min_size=n * n, max_size=n * n))
+    adjacency = [[v for v in range(n) if v != u and linked[min(u, v) * n + max(u, v)]]
+                 for u in range(n)]
+    horizon = max(phases) + 2 * period + draw(st.integers(0, 2 * period))
+    return phases, adjacency, hello_ticks(period, a, a), horizon
+
+
+@settings(max_examples=300, deadline=None)
+@given(one_hello_per_period())
+def test_one_awake_hello_per_period_makes_one_way_tables(schedule):
+    # v hears u iff u's phase residue is later than v's by less than a, so
+    # for U >= 2a no heard edge is heard back
+    phases, adjacency, ticks, _ = schedule
+    period, a = ticks["period"], ticks["t_active_s"]
+    indptr, senders, _ = tables(*schedule)
+    heard = {(u, v) for v in range(len(phases)) for u in senders[indptr[v]:indptr[v + 1]]}
+    assert heard == {
+        (u, v) for u in range(len(phases)) for v in adjacency[u]
+        if 0 < (phases[u] - phases[v]) % period < a
+    }
+    assert not any((v, u) in heard for u, v in heard)
 
 
 def test_ideal_view_intersection_matches_formula():
