@@ -152,7 +152,7 @@ def cmd_report(args):
             payload = json.loads(pathlib.Path(path).read_text())
         except (OSError, json.JSONDecodeError) as exc:
             raise InvalidConfigError(f"cannot read summary {path}: {exc}") from exc
-        metrics = payload.get("metrics", {}) if isinstance(payload, dict) else None
+        metrics = payload.get("metrics") if isinstance(payload, dict) else None
         if not isinstance(metrics, dict):
             raise InvalidConfigError(f"summary {path} has no metrics object")
         for name, value in metrics.items():

@@ -9,10 +9,11 @@ the scalar hello (hello_tick) and its replay over every hello, whose
 neighbour tables dissemination.discover and the engine's tables must
 equal (first_hearings), every awake launch (launches), and the
 event-queue dispatch that engine.dispatch must equal bit for bit given
-the same draws for each walk (dispatch, with RWMessage and step). They
-share the model's one tie rule, (tick, node id): equal-tick hellos go by
-sender and equal-tick launches by node. simulated_text is the text of a
-run that the golden pins hash and that tests compare runs by.
+the same "walks" stream (dispatch, with RWMessage): like the engine, it
+draws each walk's picks at its launch, in launch order. They share the
+model's one tie rule, (tick, node id): equal-tick hellos go by sender and
+equal-tick launches by node. simulated_text is the text of a run that the
+golden pins hash and that tests compare runs by.
 
 Observing the engine: patched replaces an attribute for the span of a
 with block; recording wraps a function so that each call is kept. Both
@@ -163,19 +164,12 @@ def recording(owner, name, keep):
 @dataclass
 class RWMessage:
     """The reference's walk in flight: its origin, the hops it has left
-    (ttl) and the node holding it."""
+    (ttl), the node holding it and the picks drawn at its launch that its
+    hops have not used yet."""
     origin: int
     ttl: int
     current: int
-
-
-def step(msg, known, schedule, t, pick):
-    """One ttl-consuming hop of msg at tick t, through dissemination.hop;
-    once ttl hits zero, msg.current is the storage node."""
-    from rawsim import dissemination
-
-    msg.ttl -= 1
-    msg.current = dissemination.hop(msg.current, known, schedule, t, pick)
+    picks: list
 
 
 def dispatch(phases, adjacency, ticks, horizon, rw_length, rng):
@@ -184,10 +178,15 @@ def dispatch(phases, adjacency, ticks, horizon, rw_length, rng):
     hellos go first, by sender, so a hop hears every hello of its own
     tick; then launches, by node; then hops, by walk index. Hellos are
     dispatched until discovery settles, at max(phase) + lcm(hello_interval,
-    U). Each walk is an RWMessage that deposits where step ends it, when
-    its ttl hits zero; one launched with a ttl of zero deposits at once.
-    Hellos and launches test awake_predicate; hops go through
-    dissemination.hop with the run's dutycycle.Schedule."""
+    U). Each walk is an RWMessage. At its launch at tick T it draws
+    min(rw_length, (horizon - T) // hop_latency) picks from rng, so walks
+    take their picks in launch order, as engine.dispatch does. Each hop
+    goes through dissemination.hop with the next pick and the run's
+    dutycycle.Schedule, and takes one off the ttl; the walk deposits where
+    the hop that takes its ttl to zero ends (at once when launched with a
+    ttl of zero), or is dropped when its next hop falls past the horizon.
+    Either way it must have used every pick it drew. Hellos and launches
+    test awake_predicate. The deposit log is sorted."""
     import heapq
     import math
 
@@ -199,15 +198,6 @@ def dispatch(phases, adjacency, ticks, horizon, rw_length, rng):
     n = len(phases)
     tables = [dissemination.NeighborTable() for _ in range(n)]
     known = [t.known for t in tables]
-    draws = iter(())
-
-    def draw():
-        nonlocal draws
-        for pick in draws:
-            return pick
-        draws = iter(rng.random(1024).tolist())
-        return next(draws)
-
     period, t_active = ticks["period"], ticks["t_active_s"]
     awake = awake_predicate(phases, period, t_active)
     schedule = Schedule(np.asarray(phases, dtype=np.int64).tolist(), period, t_active)
@@ -236,21 +226,26 @@ def dispatch(phases, adjacency, ticks, horizon, rw_length, rng):
                 heapq.heappush(heap, (t + advertise_period, launch, i))
             if not awake(i, t):
                 continue
-            w = len(walks)
-            walks.append(RWMessage(i, rw_length, i))
+            w, fit = len(walks), min(rw_length, (horizon - t) // hop_latency)
+            msg = RWMessage(i, rw_length, i, rng.random(fit).tolist())
+            walks.append(msg)
         else:
-            w = i
+            w, msg = i, walks[i]
             hops_made += 1
-            step(walks[w], known[walks[w].current], schedule, t, draw())
-        msg = walks[w]
+            msg.ttl -= 1
+            msg.current = dissemination.hop(
+                msg.current, known[msg.current], schedule, t, msg.picks.pop(0)
+            )
+        if msg.ttl > 0 and t + hop_latency <= horizon:
+            heapq.heappush(heap, (t + hop_latency, hop, w))
+            continue
+        assert not msg.picks, "a walk ended with picks it drew left over"
         if msg.ttl == 0:
             deposits.append((t, msg.current, msg.origin))
-        elif t + hop_latency <= horizon:
-            heapq.heappush(heap, (t + hop_latency, hop, w))
         else:
             dropped += 1
     return Dispatch(
-        deposits=deposits,
+        deposits=sorted(deposits),
         launch_events=launch_events,
         launches=len(walks),
         hops=hops_made,

@@ -242,6 +242,7 @@ def test_report_aggregates_summaries(tmp_path):
 def test_report_rejects_malformed_summaries(tmp_path, capsys):
     for name, text in (
         ("list.json", "[1, 2]"),
+        ("no_metrics.json", '{"config": {}}'),
         ("metrics_list.json", '{"metrics": [1]}'),
         ("null.json", '{"metrics": {"a": null}}'),
         ("text.json", '{"metrics": {"a": "1.5"}}'),
