@@ -16,7 +16,7 @@ import numpy as np
 
 from . import topology
 from .configfile import load_config
-from .engine import SimConfig, fmt, placement, run
+from .engine import SimConfig, csv_text, placement, run
 from .errors import InvalidConfigError, PlacementParseError
 from .experiments import all_figures, run_sweep
 
@@ -99,14 +99,16 @@ def _writing(path):
 
 def _write_out(out, default_name, text):
     """Write text to the --out path, or to default_name inside it if it is
-    a directory, and print where it went."""
-    out = pathlib.Path(out)
-    if out.is_dir():
-        out = out / default_name
-    with _writing(out):
-        out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(text)
-    print(out)
+    a directory or ends with a path separator, and print where it went."""
+    import os
+
+    path = pathlib.Path(out)
+    if path.is_dir() or out.endswith(("/", os.sep)):
+        path = path / default_name
+    with _writing(path):
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text)
+    print(path)
     return 0
 
 
@@ -149,23 +151,22 @@ def cmd_report(args):
     rows = {}
     for path in args.inputs:
         try:
-            payload = json.loads(pathlib.Path(path).read_text())
+            # ints parse as floats, so one out of float range reads as inf
+            payload = json.loads(pathlib.Path(path).read_text(), parse_int=float)
         except (OSError, json.JSONDecodeError) as exc:
             raise InvalidConfigError(f"cannot read summary {path}: {exc}") from exc
         metrics = payload.get("metrics") if isinstance(payload, dict) else None
         if not isinstance(metrics, dict):
             raise InvalidConfigError(f"summary {path} has no metrics object")
         for name, value in metrics.items():
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
+            if not isinstance(value, float) or not np.isfinite(value):
                 raise InvalidConfigError(
-                    f"summary {path}: metric {name!r} is not a number: {value!r}"
+                    f"summary {path}: metric {name!r} is not a finite number: {value!r}"
                 )
-            rows.setdefault(name, []).append(float(value))
-    lines = ["metric,mean,stddev,count"]
-    for name in sorted(rows):
-        vals = np.asarray(rows[name])
-        lines.append(f"{name},{fmt(vals.mean())},{fmt(vals.std())},{len(vals)}")
-    return _write_out(args.out, "report.csv", "\n".join(lines) + "\n")
+            rows.setdefault(name, []).append(value)
+    columns = ("metric", "mean", "stddev", "count")
+    aggregated = ((name, np.mean(v), np.std(v), len(v)) for name, v in sorted(rows.items()))
+    return _write_out(args.out, "report.csv", csv_text(columns, aggregated))
 
 
 COMMANDS = {

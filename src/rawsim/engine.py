@@ -235,26 +235,24 @@ class RunTrace:
         return metrics
 
     def samples_csv(self):
-        lines = ["time_s,active_count,mean_view_size"]
-        means = self.mean_view_sizes()
-        for t, a, v in zip(self.times, self.active_counts, means):
-            lines.append(f"{fmt(t)},{int(a)},{fmt(v)}")
-        return "\n".join(lines) + "\n"
+        rows = zip(
+            self.times.tolist(), self.active_counts.tolist(), self.mean_view_sizes().tolist()
+        )
+        return csv_text(("time_s", "active_count", "mean_view_size"), rows)
 
     def sink_csv(self):
-        header = (
-            "visit_index,node_id,time_s,entries_collected,"
-            "new_origins,cumulative_origins,coverage"
+        columns = ("visit_index", "node_id", "time_s", "entries_collected",
+                   "new_origins", "cumulative_origins", "coverage")
+        report = self.sink_report
+        visits = () if report is None else zip(
+            report.visits, sink.coverage_fractions(report).tolist()
         )
-        lines = [header]
-        if self.sink_report is not None:
-            n = self.sink_report.n
-            for v in self.sink_report.visits:
-                lines.append(
-                    f"{v.index},{v.node},{fmt(v.time)},{v.entries_collected},"
-                    f"{v.new_origins},{v.cumulative_origins},{fmt(v.cumulative_origins / n)}"
-                )
-        return "\n".join(lines) + "\n"
+        rows = (
+            (v.index, v.node, float(v.time), v.entries_collected, v.new_origins,
+             v.cumulative_origins, coverage)
+            for v, coverage in visits
+        )
+        return csv_text(columns, rows)
 
     def summary_json(self):
         payload = {
@@ -267,9 +265,22 @@ class RunTrace:
         return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def fmt(x):
-    """CSV float format: 6 significant digits."""
-    return f"{float(x):.6g}"
+def csv_text(columns, rows):
+    """The one CSV format: a header line, then one line per row, cells
+    comma-joined (_cell), every line ending in a newline."""
+    lines = [columns, *(map(_cell, row) for row in rows)]
+    return "".join(",".join(line) + "\n" for line in lines)
+
+
+def _cell(value):
+    """bools as true/false, ints as ints, floats to 6 significant digits."""
+    if isinstance(value, bool):
+        return str(value).lower()
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    if isinstance(value, float):
+        return f"{value:.6g}"
+    return str(value)
 
 
 def placement(config):

@@ -10,10 +10,8 @@ small grid).
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 # unused here: perfbench/layers.py wraps experiments.build_topology by name
-from .engine import SimConfig, build_topology, fmt, placement, replicate
+from .engine import SimConfig, build_topology, csv_text, placement, replicate
 from .errors import InvalidConfigError
 from .sink import predicted_coverage, visit_times
 from .topology import save_placement
@@ -34,24 +32,11 @@ class FigureDataset:
     rows: tuple
 
     def to_csv(self):
-        lines = [",".join(self.columns)]
-        for row in self.rows:
-            lines.append(",".join(_cell(v) for v in row))
-        return "\n".join(lines) + "\n"
+        return csv_text(self.columns, self.rows)
 
     def column(self, name):
         idx = self.columns.index(name)
         return [row[idx] for row in self.rows]
-
-
-def _cell(value):
-    if isinstance(value, bool):
-        return str(value).lower()
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, float):
-        return fmt(value)
-    return str(value)
 
 
 def apply_param(config, name, value):

@@ -2,8 +2,9 @@
 disk-adjacency graph.
 
 Distance exactly equal to the radio range counts as adjacent (closed
-disk). Neighbor lists are sorted ascending by node id so that random
-neighbor selection consumes the RNG deterministically.
+disk). Neighbor lists are sorted ascending by node id. Walks do not pick
+from them but from dissemination.discover's tables, which are ordered by
+(receiver, tick, sender) whatever the adjacency order.
 """
 
 import math

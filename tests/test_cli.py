@@ -22,6 +22,12 @@ def test_gen_writes_loadable_placement(tmp_path):
     assert positions.shape == (25, 2)
 
 
+def test_gen_out_with_a_trailing_separator_names_a_directory(tmp_path):
+    out = tmp_path / "new"
+    assert cli(["gen", "--set", "n=5", "--out", f"{out}{os.sep}"]) == 0
+    assert load_placement((out / "placement_n5.txt").read_text()).shape == (5, 2)
+
+
 def no_disk_graph(*_):
     raise AssertionError("gen writes positions and builds no disk graph")
 
@@ -239,6 +245,22 @@ def test_report_aggregates_summaries(tmp_path):
     assert any(line.startswith("coverage,") for line in lines)
 
 
+def test_report_writes_mean_stddev_and_count_per_metric(tmp_path):
+    a = tmp_path / "a.json"
+    b = tmp_path / "b.json"
+    a.write_text('{"metrics": {"coverage": 0.25, "launches": 12, "events": 1234567, "visits": 3}}')
+    b.write_text('{"metrics": {"coverage": 0.5, "launches": 15, "events": 1234568}}')
+    report = tmp_path / "report.csv"
+    assert cli(["report", str(a), str(b), "--out", str(report)]) == 0
+    assert report.read_text() == (
+        "metric,mean,stddev,count\n"
+        "coverage,0.375,0.125,2\n"
+        "events,1.23457e+06,0.5,2\n"
+        "launches,13.5,1.5,2\n"
+        "visits,3,0,1\n"
+    )
+
+
 def test_report_rejects_malformed_summaries(tmp_path, capsys):
     for name, text in (
         ("list.json", "[1, 2]"),
@@ -247,6 +269,9 @@ def test_report_rejects_malformed_summaries(tmp_path, capsys):
         ("null.json", '{"metrics": {"a": null}}'),
         ("text.json", '{"metrics": {"a": "1.5"}}'),
         ("bool.json", '{"metrics": {"a": true}}'),
+        ("nan.json", '{"metrics": {"coverage": NaN}}'),
+        ("inf.json", '{"metrics": {"launches": Infinity}}'),
+        ("huge.json", '{"metrics": {"a": ' + "1" * 400 + "}}"),
     ):
         summary = tmp_path / name
         summary.write_text(text)

@@ -90,6 +90,19 @@ def test_run_deterministic():
     assert t1.summary_json() == t2.summary_json()
 
 
+def test_csv_text_cell_rules():
+    rows = [
+        (True, False, 3, np.int64(-4), 0.5, np.float64(2.0)),
+        (1234567.0, np.float64(1e-7), 0.1 + 0.2, "node 1", "", 7),
+    ]
+    assert engine.csv_text(("a", "b", "c", "d", "e", "f"), rows) == (
+        "a,b,c,d,e,f\n"
+        "true,false,3,-4,0.5,2\n"
+        "1.23457e+06,1e-07,0.3,node 1,,7\n"
+    )
+    assert engine.csv_text(("a", "b"), []) == "a,b\n"
+
+
 def test_zero_horizon_single_sample_no_events():
     trace = run(SimConfig(n=10, horizon_s=0.0, seed=3))
     assert trace.times.tolist() == [0.0]
